@@ -51,6 +51,8 @@
  * src/sim/registry.hh.
  */
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -875,20 +877,24 @@ traceInfoDoc(const std::string &path, std::string *err)
     ResultValue doc = ResultValue::object();
     doc.set("path", path);
     if (*format == TraceFileFormat::V1) {
-        std::vector<RetiredInstr> records;
-        if (!readTrace(path, records)) {
+        // The header count (validated against the file size at open)
+        // is all info needs: no record is decoded.
+        TraceBatchReader reader;
+        struct stat st;
+        if (!reader.open(path) || ::stat(path.c_str(), &st) != 0) {
             if (err)
                 *err = path + ": invalid v1 trace";
             return std::nullopt;
         }
+        const std::uint64_t records = reader.count();
+        const auto bytes = static_cast<std::uint64_t>(st.st_size);
         doc.set("format", "pifetch-trace-v1");
-        doc.set("records", records.size());
-        const std::uint64_t bytes = 16 + 24 * records.size();
+        doc.set("records", records);
         doc.set("fileBytes", bytes);
-        if (!records.empty())
+        if (records > 0)
             doc.set("bytesPerRecord",
                     static_cast<double>(bytes) /
-                        static_cast<double>(records.size()));
+                        static_cast<double>(records));
         return doc;
     }
     const auto info = traceV2Info(path, err);

@@ -20,6 +20,7 @@
 #include "cache/hierarchy.hh"
 #include "pif/pif_prefetcher.hh"
 #include "sim/multicore.hh"
+#include "sim/prefetcher_dispatch.hh"
 #include "sim/registry.hh"
 #include "sim/trace_engine.hh"
 #include "sim/workloads.hh"
@@ -50,32 +51,6 @@ generateStream(const PerfOptions &opts, std::uint64_t n)
     records.reserve(n);
     exec.run(n, [&](const RetiredInstr &r) { records.push_back(r); });
     return records;
-}
-
-// ------------------------------------------------------ trace-decode
-
-KernelTiming
-runTraceDecode(const PerfOptions &opts)
-{
-    const std::uint64_t n = scaled(512 * 1024, opts.scale);
-    const std::vector<RetiredInstr> records = generateStream(opts, n);
-
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         ("pifetch-perf-" + std::to_string(::getpid()) + ".trace"))
-            .string();
-    if (!writeTrace(path, records))
-        fatalError("perf: cannot write scratch trace " + path);
-    const std::uint64_t bytes = std::filesystem::file_size(path);
-
-    std::vector<RetiredInstr> decoded;
-    KernelTiming t = measureKernel(
-        "trace-decode", opts.protocol, n, bytes, [&] {
-            if (!readTrace(path, decoded) || decoded.size() != n)
-                fatalError("perf: trace decode failed mid-benchmark");
-        });
-    std::remove(path.c_str());
-    return t;
 }
 
 // -------------------------------------------------- trace-decode-soa
@@ -232,12 +207,11 @@ runPifTrain(const PerfOptions &opts)
         for (const RetiredInstr &r : records) {
             const Addr block = blockAddr(r.pc);
             if (block != cur_block) {
-                FetchInfo info;
-                info.block = block;
-                info.pc = r.pc;
-                info.hit = true;
-                info.trapLevel = r.trapLevel;
-                pif.onFetchAccess(info);
+                FetchAccess access;
+                access.block = block;
+                access.hit = true;
+                access.trapLevel = r.trapLevel;
+                pif.onFetchAccess(fetchInfoOf(access, r.pc));
                 cur_block = block;
             }
             pif.onRetire(r, true);
@@ -314,9 +288,6 @@ const std::vector<PerfKernelSpec> &
 perfKernels()
 {
     static const std::vector<PerfKernelSpec> kernels = {
-        {"trace-decode",
-         "chunked binary trace read (records/sec, bytes/sec)",
-         runTraceDecode},
         {"trace-decode-soa",
          "streamed trace decode into SoA record batches",
          runTraceDecodeSoa},

@@ -5,14 +5,18 @@
  *
  * Each kernel isolates one layer of the replay stack:
  *
- *   trace-decode        chunked binary trace read (trace/trace_io)
  *   trace-decode-soa    streamed v1 decode into SoA record batches
+ *                       (trace/trace_io's TraceBatchReader)
  *   trace-decode-v2     compressed v2 chunk decode into SoA batches
  *                       (trace/trace_v2; bytes = on-disk compressed)
  *   trace-replay        full functional engine with PIF attached
  *                       (executor -> front-end -> L1-I -> prefetcher)
+ *   replay-batched      the engine's batched pipeline on pre-decoded
+ *                       SoA batches (TraceEngine::replayBatch)
  *   pif-train           PIF train+predict driven directly with a
- *                       pre-generated retire stream (src/pif hot path)
+ *                       pre-generated retire stream (src/pif hot path;
+ *                       accesses reach PIF through the engines' own
+ *                       fetchInfoOf())
  *   cache-lookup        L1-I access / L2 fill loop (src/cache)
  *   fig10-multicore-t1  the Figure 10 multicore fan-out, 1 worker
  *   fig10-multicore-t2  ... 2 workers

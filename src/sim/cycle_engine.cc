@@ -84,22 +84,9 @@ CycleEngine::stepBatch(P &prefetcher, const RecordBatch &batch,
         const std::size_t nev = events_.size() - ev0;
         const FetchAccess *evs = events_.data() + ev0;
 
-        if (observing) {
-            // Executor-side counters advance at batch-decode
-            // granularity, so a mid-batch counter sample must not read
-            // them: re-derive the interrupt count per instruction from
-            // the record stream itself (a TL0 -> TL1 transition is
-            // exactly one delivery), keeping samples identical at any
-            // batch length.
-            obsInterrupts_ += static_cast<std::uint64_t>(
-                instr.trapLevel != 0 && obsPrevTl_ == 0);
-            obsPrevTl_ = instr.trapLevel;
-            observers_.observeStep(instr, evs, nev, [&] {
-                RunCounters live = liveRunCounters(exec_, frontend_);
-                live.interrupts = obsInterrupts_;
-                return counterSnapshotOf(live, l1i_.prefetchFills());
-            });
-        }
+        if (observing)
+            observers_.observeStep(instr, evs, nev, exec_, frontend_,
+                                   l1i_);
 
         for (std::size_t e = 0; e < nev; ++e) {
             const FetchAccess &ev = evs[e];
@@ -123,14 +110,7 @@ CycleEngine::stepBatch(P &prefetcher, const RecordBatch &batch,
                     ++demandMisses_;
             }
 
-            FetchInfo info;
-            info.block = ev.block;
-            info.pc = ev.correctPath ? instr.pc : blockBase(ev.block);
-            info.hit = ev.hit;
-            info.wasPrefetched = ev.wasPrefetched;
-            info.correctPath = ev.correctPath;
-            info.trapLevel = ev.trapLevel;
-            prefetcher.onFetchAccess(info);
+            prefetcher.onFetchAccess(fetchInfoOf(ev, instr.pc));
         }
 
         // Branch misprediction penalty: one per mispredict this step.

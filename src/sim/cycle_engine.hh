@@ -91,25 +91,6 @@ class CycleEngine
         observers_.configure(obs);
     }
 
-    /** Deprecated: use attachObservers() (digests-on wrapper). */
-    void
-    enableDigests()
-    {
-        ObserverConfig obs = observers_.config();
-        obs.digests = true;
-        observers_.configure(obs);
-    }
-
-    /** Deprecated: use attachObservers() (event-store wrapper). */
-    void
-    attachEvents(EventStore *store, unsigned core = 0)
-    {
-        ObserverConfig obs = observers_.config();
-        obs.events = store;
-        obs.core = core;
-        observers_.configure(obs);
-    }
-
     /** Retired-instruction stream digest (0 until digests enabled). */
     std::uint64_t retireDigest() const
     {
@@ -174,13 +155,6 @@ class CycleEngine
 
     /** Digests + event recording (opt-in; detached by default). */
     EngineObservers observers_;
-    /**
-     * Per-instruction interrupt count for windowed counter samples,
-     * tracked from trap-level transitions while observing (the
-     * executor's own counter advances a whole decoded batch early).
-     */
-    std::uint64_t obsInterrupts_ = 0;
-    std::uint8_t obsPrevTl_ = 0;
 };
 
 } // namespace pifetch

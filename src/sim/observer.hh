@@ -2,16 +2,14 @@
  * @file
  * Unified engine observation layer.
  *
- * Both engines used to carry two ad-hoc opt-in hooks — enableDigests()
- * and attachEvents(EventStore*, core) — each with its own hot-loop
- * branch and its own per-engine recording code. EngineObservers folds
- * them into one configuration (ObserverConfig) behind one predictable
- * detached-branch per instruction: the batched replay loops test
- * active() once and hand the instruction plus its fetch-access span to
- * observeStep(), which folds the stream digests and appends the
- * event-store rows in a single place. Counter samples are built from
- * the engines' shared RunCounters snapshot, so the two engines'
- * samples stay comparable row for row by construction.
+ * Both engines observe through one configuration (ObserverConfig, set
+ * with attachObservers()) behind one predictable detached branch per
+ * instruction: the batched replay loops test active() once and hand
+ * the instruction plus its fetch-access span to observeStep(), which
+ * folds the stream digests, appends the event-store rows and takes the
+ * windowed counter samples in a single place. Counter samples are
+ * built from the engines' shared RunCounters snapshot, so the two
+ * engines' samples stay comparable row for row by construction.
  *
  * Detached (the default) the replay hot path pays the active() test
  * and nothing else; the perf gate locks that.
@@ -82,10 +80,9 @@ counterSnapshotOf(const RunCounters &c, std::uint64_t prefetch_fills)
 class EngineObservers
 {
   public:
-    /** Replace the configuration (digest state is preserved). */
+    /** Replace the configuration (digest and interrupt state is
+     *  preserved). */
     void configure(const ObserverConfig &cfg) { cfg_ = cfg; }
-
-    const ObserverConfig &config() const { return cfg_; }
 
     /** True when the hot loop must call observeStep(). */
     bool active() const { return cfg_.digests || cfg_.events != nullptr; }
@@ -106,14 +103,22 @@ class EngineObservers
 
     /**
      * Observe one retired instruction and the @p count fetch accesses
-     * it produced. @p counters is invoked only when a windowed counter
-     * sample is due (it should build the engine's CounterSnapshot).
+     * it produced. A due windowed counter sample reads the engine's
+     * live counters from @p exec, @p frontend and @p l1i.
      */
-    template <typename CounterFn>
     void
     observeStep(const RetiredInstr &instr, const FetchAccess *events,
-                std::size_t count, CounterFn &&counters)
+                std::size_t count, const Executor &exec,
+                const Frontend &frontend, const Cache &l1i)
     {
+        // Executor-side counters advance at batch-decode granularity,
+        // so a mid-batch counter sample must not read them: re-derive
+        // the interrupt count per instruction from the record stream
+        // itself (a TL0 -> TL1 transition is exactly one delivery),
+        // keeping samples identical at any batch length.
+        interrupts_ += static_cast<std::uint64_t>(
+            instr.trapLevel != 0 && prevTl_ == 0);
+        prevTl_ = instr.trapLevel;
         if (cfg_.digests) {
             digestRetire(retireDigest_, instr);
             for (std::size_t i = 0; i < count; ++i)
@@ -128,8 +133,12 @@ class EngineObservers
                                               ? instr.pc
                                               : blockBase(ev.block));
             }
-            if (cfg_.events->counterSampleDue(cfg_.core))
-                cfg_.events->sampleCounters(cfg_.core, counters());
+            if (cfg_.events->counterSampleDue(cfg_.core)) {
+                RunCounters live = liveRunCounters(exec, frontend);
+                live.interrupts = interrupts_;
+                cfg_.events->sampleCounters(
+                    cfg_.core, counterSnapshotOf(live, l1i.prefetchFills()));
+            }
         }
     }
 
@@ -145,6 +154,9 @@ class EngineObservers
     ObserverConfig cfg_;
     StreamDigest retireDigest_;
     StreamDigest accessDigest_;
+    /** Interrupts delivered so far, counted per observed instruction. */
+    std::uint64_t interrupts_ = 0;
+    std::uint8_t prevTl_ = 0;
 };
 
 } // namespace pifetch

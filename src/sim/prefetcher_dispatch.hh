@@ -1,6 +1,8 @@
 /**
  * @file
- * Concrete-type dispatch for the engines' monomorphized loops.
+ * Concrete-type dispatch for the engines' monomorphized loops, plus
+ * the one FetchAccess -> FetchInfo mapping every prefetcher driver
+ * uses.
  *
  * The engines run their per-instruction loop templated on the
  * concrete prefetcher type so the three per-instruction hooks
@@ -13,6 +15,7 @@
 
 #pragma once
 
+#include "core/frontend.hh"
 #include "pif/pif_prefetcher.hh"
 #include "pif/shared_pif.hh"
 #include "prefetch/discontinuity.hh"
@@ -21,6 +24,24 @@
 #include "prefetch/prefetcher.hh"
 
 namespace pifetch {
+
+/**
+ * What a prefetcher observes of front-end fetch access @p ev made for
+ * the instruction at @p pc. A wrong-path access reports its block base
+ * as its pc.
+ */
+inline FetchInfo
+fetchInfoOf(const FetchAccess &ev, Addr pc)
+{
+    FetchInfo info;
+    info.block = ev.block;
+    info.pc = ev.correctPath ? pc : blockBase(ev.block);
+    info.hit = ev.hit;
+    info.wasPrefetched = ev.wasPrefetched;
+    info.correctPath = ev.correctPath;
+    info.trapLevel = ev.trapLevel;
+    return info;
+}
 
 /**
  * Invoke @p fn with @p pf downcast to its concrete type (generic

@@ -25,12 +25,10 @@ constexpr std::uint32_t traceMagic = 0x54464950;
 constexpr std::uint32_t traceVersion = 1;
 
 /**
- * Write @p records to @p path.
- *
- * Streams through a chunk buffer (one fwrite per ~32K records) and
- * flushes + closes explicitly, so a write error that only surfaces at
- * flush/close time (e.g. ENOSPC) is reported as failure, never as
- * silent data loss.
+ * Write @p records to @p path: a loop over TraceWriter, so it shares
+ * the writer's chunking and flush-and-close error discipline (a write
+ * error that only surfaces at flush/close time, e.g. ENOSPC, is
+ * reported as failure, never as silent data loss).
  *
  * @return true on success; false on any I/O failure.
  */
@@ -38,12 +36,10 @@ bool writeTrace(const std::string &path,
                 const std::vector<RetiredInstr> &records);
 
 /**
- * Read a trace file written by writeTrace().
- *
- * The header's record count is validated against the actual file size
- * before any allocation, so a corrupt or truncated header fails fast
- * instead of triggering a multi-GB reserve. Reads stream through the
- * same chunking as writeTrace().
+ * Read a whole trace file into memory: a loop over TraceBatchReader,
+ * so it applies the reader's header validation (magic, version, and
+ * the record count against the file size, checked before any
+ * allocation).
  *
  * @param[out] records Replaced with the file contents on success;
  *             left empty on failure.
@@ -54,13 +50,12 @@ bool readTrace(const std::string &path,
                std::vector<RetiredInstr> &records);
 
 /**
- * Streaming v1 writer: the counterpart of TraceBatchReader for code
- * that produces records incrementally (e.g. `pifetch trace unpack`
- * converting a v2 corpus back to v1 chunk by chunk). Buffers one disk
- * chunk of records, writes the header with a placeholder count, and
- * finish() seeks back to finalize it — so a multi-gigabyte conversion
- * never holds more than one chunk in memory. Mirrors writeTrace()'s
- * flush-and-close error discipline.
+ * Streaming v1 writer, the only v1 encoder. Buffers one disk chunk of
+ * records (one fwrite per ~32K records), writes the header with a
+ * placeholder count, and finish() seeks back to finalize it — so a
+ * multi-gigabyte conversion (`pifetch trace unpack`) never holds more
+ * than one chunk in memory. finish() flushes and closes explicitly,
+ * so a late write error is reported, not lost.
  */
 class TraceWriter
 {
@@ -103,16 +98,14 @@ class TraceWriter
 };
 
 /**
- * Streaming batch decoder for trace files.
+ * Streaming batch decoder for trace files, the only v1 decoder.
  *
- * Where readTrace() materializes the whole file as one AoS vector,
- * this reader hands out the stream one structure-of-arrays RecordBatch
- * at a time: each 32K-record disk chunk is read with a single fread
- * and its fields are scattered into the batch's parallel PC / target /
- * kind columns (block addresses precomputed), ready to feed
+ * Hands out the stream one structure-of-arrays RecordBatch at a time:
+ * each 32K-record disk chunk is read with a single fread and its
+ * fields are scattered into the batch's parallel PC / target / kind
+ * columns (block addresses precomputed), ready to feed
  * TraceEngine::replayBatch() without touching AoS form or holding more
- * than one chunk in memory. Decodes the exact record sequence
- * readTrace() produces; the trace-io test suite locks the equivalence.
+ * than one chunk in memory.
  */
 class TraceBatchReader
 {
@@ -125,13 +118,17 @@ class TraceBatchReader
 
     /**
      * Open @p path and validate its header (magic, version, and the
-     * record count against the file's actual payload size, exactly as
-     * readTrace() does). @return true if the stream is ready.
+     * record count against the file's actual payload size).
+     * @return true if the stream is ready.
      */
     bool open(const std::string &path);
 
     /** Records the header promises (valid after a successful open). */
     std::uint64_t count() const { return total_; }
+
+    /** True when count() was checked against a regular file's size
+     *  (a pipe's count is unchecked until its records arrive). */
+    bool countChecked() const { return countChecked_; }
 
     /** Records decoded so far. */
     std::uint64_t decoded() const { return decoded_; }
@@ -158,6 +155,7 @@ class TraceBatchReader
     std::uint64_t remaining_ = 0;  //!< records not yet read from disk
     std::uint64_t decoded_ = 0;
     bool failed_ = false;
+    bool countChecked_ = false;
 
     /** Raw bytes of the current disk chunk and the decode cursor. */
     std::vector<std::uint8_t> chunk_;

@@ -9,9 +9,8 @@
  * six server presets and two workload-zoo specs by comparing each
  * engine at the default batch length against the scalar-order (length
  * 1) reference, checks the multicore runners against hand-built
- * scalar per-core engines at 1 and 4 pool threads, locks the
- * streaming SoA trace decoder against readTrace(), and verifies the
- * deprecated observation wrappers compose to the unified API.
+ * scalar per-core engines at 1 and 4 pool threads, and locks the
+ * streaming SoA trace decoder against the records that were written.
  */
 
 #include <gtest/gtest.h>
@@ -232,39 +231,6 @@ TEST(MulticoreBatched, MatchesScalarReferenceAtThreads1And4)
     }
 }
 
-TEST(ObserverCompat, DeprecatedWrappersComposeToUnifiedConfig)
-{
-    const ServerWorkload w = ServerWorkload::WebApache;
-    const Program prog = buildWorkloadProgram(w);
-    const SystemConfig cfg{};
-
-    EventStore unified_events(fullRecordingOptions());
-    TraceEngine unified(cfg, prog, executorConfigFor(w),
-                        makePrefetcher(PrefetcherKind::Pif, cfg));
-    ObserverConfig obs;
-    obs.digests = true;
-    obs.events = &unified_events;
-    unified.attachObservers(obs);
-    const TraceRunResult a = unified.run(kWarmup, kMeasure);
-
-    // The legacy calls must stack: enabling digests then attaching a
-    // store (in either order) ends in the same observer configuration.
-    EventStore legacy_events(fullRecordingOptions());
-    TraceEngine legacy(cfg, prog, executorConfigFor(w),
-                       makePrefetcher(PrefetcherKind::Pif, cfg));
-    legacy.enableDigests();
-    legacy.attachEvents(&legacy_events);
-    const TraceRunResult b = legacy.run(kWarmup, kMeasure);
-
-    std::vector<CheckFailure> failures;
-    checkTraceIdentical(a, b, "observer-wrapper-compat", failures);
-    for (const CheckFailure &f : failures)
-        ADD_FAILURE() << f.invariant << ": " << f.detail;
-    EXPECT_NE(b.retireDigest, 0u);
-    expectStoresIdentical(unified_events, legacy_events,
-                          "wrapper-compat");
-}
-
 TEST(UnobservedBatched, BulkFastPathMatchesObservedScalarCounters)
 {
     // The bulk no-op-run fast path (and the lean decode it enables)
@@ -340,14 +306,12 @@ class BatchReaderTest : public ::testing::Test
     std::string path_;
 };
 
-TEST_F(BatchReaderTest, DecodesExactlyWhatReadTraceReturns)
+TEST_F(BatchReaderTest, DecodesExactlyTheRecordsWritten)
 {
+    // readTrace() is itself a loop over this reader, so the reference
+    // is the record sequence that was written, not readTrace()'s.
     const std::vector<RetiredInstr> original = sampleTrace(100'000);
     ASSERT_TRUE(writeTrace(path_, original));
-
-    std::vector<RetiredInstr> aos;
-    ASSERT_TRUE(readTrace(path_, aos));
-    ASSERT_EQ(aos.size(), original.size());
 
     TraceBatchReader reader;
     ASSERT_TRUE(reader.open(path_));
@@ -357,9 +321,9 @@ TEST_F(BatchReaderTest, DecodesExactlyWhatReadTraceReturns)
     std::size_t seen = 0;
     while (reader.next(batch)) {
         for (std::uint32_t i = 0; i < batch.size; ++i, ++seen) {
-            ASSERT_LT(seen, aos.size());
+            ASSERT_LT(seen, original.size());
             const RetiredInstr got = batch.get(i);
-            const RetiredInstr &want = aos[seen];
+            const RetiredInstr &want = original[seen];
             ASSERT_EQ(got.pc, want.pc) << "record " << seen;
             ASSERT_EQ(got.target, want.target) << "record " << seen;
             ASSERT_EQ(got.kind, want.kind) << "record " << seen;
@@ -371,8 +335,8 @@ TEST_F(BatchReaderTest, DecodesExactlyWhatReadTraceReturns)
         }
     }
     EXPECT_FALSE(reader.failed());
-    EXPECT_EQ(seen, aos.size());
-    EXPECT_EQ(reader.decoded(), aos.size());
+    EXPECT_EQ(seen, original.size());
+    EXPECT_EQ(reader.decoded(), original.size());
 }
 
 TEST_F(BatchReaderTest, HonorsSmallBatchCaps)
@@ -413,8 +377,8 @@ TEST_F(BatchReaderTest, RejectsTruncatedPayload)
     ASSERT_EQ(std::fclose(f), 0);
     ASSERT_EQ(0, truncate(path_.c_str(), size - 10));
 
-    // The count-vs-payload validation fires at open, exactly like
-    // readTrace() on the same file.
+    // The count-vs-payload validation fires at open, before any
+    // record is read.
     TraceBatchReader reader;
     EXPECT_FALSE(reader.open(path_));
 }
