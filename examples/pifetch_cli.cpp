@@ -2,67 +2,25 @@
  * @file
  * pifetch: the unified experiment CLI over the registry.
  *
- * Commands:
- *   pifetch list
- *       Enumerate every registered experiment.
- *   pifetch run <experiment> [options]
- *       Run one experiment; print the human report and optionally
- *       write structured output.
- *   pifetch sweep <experiment> --param key=v1,v2[,...] [options]
- *       Fan a parameter grid (cartesian product) over the worker
- *       pool; one experiment run per grid point.
- *   pifetch golden [--list | <experiment>]
- *       Canonical golden-fixture JSON (see scripts/regold.sh).
- *   pifetch perf [--list | options]
- *       Time the simulator's hot kernels (docs/performance.md) and
- *       emit a BENCH_*.json document for scripts/perf_compare.py.
- *   pifetch check [options]
- *       Fuzz randomized scenarios through the differential and
- *       metamorphic oracle battery (docs/validation.md); failing
- *       scenarios shrink to a minimal replayable JSON repro.
- *   pifetch query [options]
- *       Record one run into the columnar event store (or reload a
- *       saved event dump) and answer select/where/group-by/window
- *       queries over it without re-simulating (docs/query.md).
- *   pifetch lint [paths...] [options]
- *       Run the project static-analysis rules (docs/linting.md)
- *       over the source tree and report violations as canonical
- *       JSON; exits 1 on any unsuppressed error.
- *
- * Options (run and sweep):
- *   --workload W       restrict to workload W (repeatable);
- *                      a server preset (db2|oracle|qry2|qry17|
- *                      apache|zeus or 0..5) or a workload-zoo spec
- *                      name (see `pifetch list`)
- *   --workload-file F  load a JSON workload spec file (repeatable);
- *                      see docs/workloads.md for the schema
- *   --json FILE|-      write the result document as JSON
- *                      ("-" = stdout, which suppresses the report)
- *   --csv FILE|-       write the result tables as CSV
- *   --threads N        worker threads (0 = auto / PIFETCH_THREADS)
- *   --warmup N         warmup instructions
- *   --measure N        measured instructions
- *   --seed N           master seed
- *   --set key=value    configuration override (repeatable);
- *                      see `pifetch list` for the supported keys
- *   --quiet            suppress the human-readable report
- *
- * The JSON document layout is documented in docs/cli.md and
- * src/sim/registry.hh.
+ * Every verb declares its options once, as a table of rows (name,
+ * value kind and range, one line of help, handler). One parser walks
+ * argv through that table, and `pifetch help` prints the same tables,
+ * so run `pifetch help` for the verbs and their options. The JSON
+ * document layout and the exit codes (0 ok, 1 failure, 2 usage) are
+ * documented in docs/cli.md and src/sim/registry.hh.
  */
 
 #include <sys/stat.h>
 
-#include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iostream>
+#include <functional>
+#include <initializer_list>
+#include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/checker.hh"
@@ -73,6 +31,7 @@
 #include "query/query.hh"
 #include "sim/cycle_engine.hh"
 #include "sim/registry.hh"
+#include "sim/system_config.hh"
 #include "sim/trace_engine.hh"
 #include "sweep/runner.hh"
 #include "trace/trace_io.hh"
@@ -82,357 +41,250 @@ using namespace pifetch;
 
 namespace {
 
-int
-usage(std::FILE *out)
-{
-    std::fputs(
-        "usage: pifetch <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  list                      enumerate registered experiments\n"
-        "  run <experiment>          run one experiment\n"
-        "  sweep <experiment> --param key=v1,v2,...\n"
-        "                            run a parameter grid\n"
-        "  trace pack|unpack|info    convert/inspect trace files\n"
-        "  golden [--list|<exp>]     emit canonical golden JSON\n"
-        "  perf [--list|options]     time the hot kernels\n"
-        "  check [options]           fuzz + differential validation\n"
-        "  query [options]           event-store recording + queries\n"
-        "  lint [paths...] [options] project static-analysis rules\n"
-        "  help                      this message\n"
-        "\n"
-        "run/sweep options:\n"
-        "  --workload W   a server preset (db2|oracle|qry2|qry17|\n"
-        "                 apache|zeus or 0..5) or a zoo spec name\n"
-        "                 (repeatable; default: the experiment's set)\n"
-        "  --workload-file F  load a JSON workload spec (repeatable;\n"
-        "                 schema in docs/workloads.md)\n"
-        "  --json FILE|-  write the JSON document (- = stdout,\n"
-        "                 suppressing the human report)\n"
-        "  --csv FILE|-   write the tables as CSV\n"
-        "  --threads N    worker threads (0 = auto)\n"
-        "  --warmup N     warmup instructions\n"
-        "  --measure N    measured instructions\n"
-        "  --seed N       master seed\n"
-        "  --set k=v      config override (repeatable)\n"
-        "  --quiet        no human-readable report\n"
-        "\n"
-        "sweep-only options (sharded service, docs/cli.md):\n"
-        "  --shards N     partition the grid over N child processes\n"
-        "                 (needs --dir; at most --threads run at once)\n"
-        "  --dir D        sweep directory (manifest, per-shard point\n"
-        "                 files + completion journal, merged.json)\n"
-        "  --resume       skip journaled-complete points after a\n"
-        "                 crash (same command line as the first run)\n"
-        "  --shard K      worker mode: run one shard of an existing\n"
-        "                 manifest (used by the scheduler)\n"
-        "  --merge        assemble merged.json from completed shards\n"
-        "                 without running anything\n"
-        "\n"
-        "trace verbs:\n"
-        "  pack <in> <out>    convert a v1 (or v2) trace to v2\n"
-        "                     (delta/varint chunks, ~5-10x smaller)\n"
-        "  unpack <in> <out>  convert back to fixed-record v1\n"
-        "  info <file> [--json FILE|-]  header/chunk-index summary\n"
-        "\n"
-        "perf options:\n"
-        "  --list         enumerate the kernels and exit\n"
-        "  --kernel K     run only kernel K (repeatable)\n"
-        "  --reps N       timed repetitions per kernel (default 5)\n"
-        "  --warmup-reps N untimed repetitions first (default 1)\n"
-        "  --scale X      op-count multiplier, X > 0 (default 1.0)\n"
-        "  --workload W   driving workload (default db2)\n"
-        "  --seed N       stream-generation seed\n"
-        "  --json/--csv/--quiet as above\n"
-        "\n"
-        "check options:\n"
-        "  --seeds N      scenarios to fuzz (default 25)\n"
-        "  --seed N       first fuzz seed (default 1)\n"
-        "  --replay-seed N  run exactly one fuzz seed\n"
-        "  --replay FILE  run the scenario in a repro JSON file\n"
-        "  --repro FILE   failing-scenario JSON path\n"
-        "                 (default pifetch-check-repro.json)\n"
-        "  --threads N    worker lanes over scenarios (0 = auto)\n"
-        "  --no-shrink    keep failing scenarios unshrunk\n"
-        "  --inject-fault K  deliberate break for self-tests\n"
-        "                 (degree-miscount | coverage-drop |\n"
-        "                 window-miscount)\n"
-        "  --workload-file F  run every fuzzed scenario over this\n"
-        "                 JSON workload spec\n"
-        "  --json/--quiet as above\n"
-        "\n"
-        "query options:\n"
-        "  --workload W   record one run of this workload (a preset\n"
-        "                 or zoo spec name, as for run)\n"
-        "  --workload-file F  record one run of this JSON spec\n"
-        "  --load FILE    query a saved event dump instead of\n"
-        "                 recording a run (see --dump)\n"
-        "  --prefetcher K prefetcher for the recorded run (none |\n"
-        "                 nextline | tifs | discontinuity | pif |\n"
-        "                 perfect; default pif)\n"
-        "  --engine E     trace | cycle (default trace)\n"
-        "  --warmup N     warmup instructions (default 50000)\n"
-        "  --measure N    recorded instructions (default 200000)\n"
-        "  --seed N / --set k=v  as above\n"
-        "  --window N     counter-sample stride in retired\n"
-        "                 instructions (default 4096)\n"
-        "  --retires      also record one slice per retired\n"
-        "                 instruction (large!)\n"
-        "  --max-slices N slice-row cap; excess rows are dropped\n"
-        "                 and counted (default 2^22)\n"
-        "  --dump FILE|-  write the store as a reloadable JSON\n"
-        "                 event dump (schema pifetch-events-v1)\n"
-        "  --query Q      run one query (repeatable); grammar in\n"
-        "                 docs/query.md\n"
-        "  --streams      emit the Fig. 2-style miss-stream-length\n"
-        "                 table\n"
-        "  --json/--csv/--quiet as above\n"
-        "\n"
-        "lint options:\n"
-        "  paths...       repo-relative path prefixes to scan\n"
-        "                 (default: src bench examples tests)\n"
-        "  --rule ID      run only rule ID (repeatable)\n"
-        "  --root DIR     repository root (default: the checkout\n"
-        "                 this binary was built from)\n"
-        "  --list-rules   print the rule catalog and exit\n"
-        "  --self-test    replay every rule's planted-violation\n"
-        "                 fixture and exit\n"
-        "  --json/--quiet as above\n",
-        out);
-    return out == stderr ? 2 : 0;
-}
+// ------------------------------------------------------ option tables
 
-struct CliOptions
-{
-    RunOptions run;
-    std::string jsonPath;
-    std::string csvPath;
-    bool quiet = false;
-    /** --seed or --set appeared (invalid for analysis-only specs). */
-    bool configTouched = false;
-    /** sweep only: key -> list of values. */
-    std::vector<std::pair<std::string, std::vector<std::string>>> grid;
+/** How an option-table row takes its value. */
+enum class Kind {
+    Flag,  //!< no value
+    Text,  //!< any string
+    Uint,  //!< unsigned integer in [min, max]
+    Out,   //!< output path; "-" is stdout, which one option may own
+    Arg,   //!< one positional argument
+    Args,  //!< any number of positional arguments
 };
 
+/** Apply a parsed value (@p n for Uint rows); "" or a diagnostic. */
+using Handler =
+    std::function<std::string(const std::string &value, std::uint64_t n)>;
+
+/** One row of a verb's option table. */
+struct Option
+{
+    std::string name;   //!< "--seed", or "<experiment>" for positionals
+    Kind kind;
+    std::string value;  //!< value placeholder in help ("N", "FILE|-")
+    std::string help;   //!< one line
+    Handler set;
+    std::uint64_t min = 0;
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+};
+
+constexpr std::uint64_t maxThreads = 256;  // resolveThreads' own cap
+
+Option
+flag(std::string name, std::string help, std::function<void()> f)
+{
+    return {std::move(name), Kind::Flag, "", std::move(help),
+            [f](const std::string &, std::uint64_t) {
+                f();
+                return std::string();
+            }};
+}
+
+Option
+num(std::string name, std::string help,
+    std::function<void(std::uint64_t)> f, std::uint64_t min = 0,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    return {std::move(name), Kind::Uint, "N", std::move(help),
+            [f](const std::string &, std::uint64_t n) {
+                f(n);
+                return std::string();
+            },
+            min, max};
+}
+
+Option
+text(std::string name, std::string value, std::string help,
+     std::function<std::string(const std::string &)> f,
+     Kind kind = Kind::Text)
+{
+    return {std::move(name), kind, std::move(value), std::move(help),
+            [f](const std::string &v, std::uint64_t) { return f(v); }};
+}
+
+/** A text row that only stores its value. */
+Option
+path(std::string name, std::string value, std::string help,
+     std::string &into, Kind kind = Kind::Text)
+{
+    return text(std::move(name), std::move(value), std::move(help),
+                [&into](const std::string &v) {
+                    into = v;
+                    return std::string();
+                },
+                kind);
+}
+
+std::vector<Option>
+concat(std::initializer_list<std::vector<Option>> parts)
+{
+    std::vector<Option> table;
+    for (const std::vector<Option> &part : parts)
+        table.insert(table.end(), part.begin(), part.end());
+    return table;
+}
+
+/** " [lo..hi]" (or " [>= lo]") for a Uint row with a narrower range. */
+std::string
+rangeNote(const Option &o)
+{
+    const bool unbounded =
+        o.max == std::numeric_limits<std::uint64_t>::max();
+    if (o.kind != Kind::Uint || (o.min == 0 && unbounded))
+        return "";
+    if (unbounded)
+        return " [>= " + std::to_string(o.min) + "]";
+    return " [" + std::to_string(o.min) + ".." + std::to_string(o.max) +
+           "]";
+}
+
 bool
-parseU64Arg(const char *s, std::uint64_t &out)
+positional(const Option &o)
 {
-    return parseU64Value(s, out);  // registry's strict parser
-}
-
-/** Every accepted --workload name: presets first, then the zoo. */
-std::string
-knownWorkloadNames()
-{
-    std::string out;
-    for (ServerWorkload w : allServerWorkloads()) {
-        if (!out.empty())
-            out += ", ";
-        out += workloadKey(w);
-    }
-    for (const WorkloadZooEntry &e : workloadZoo()) {
-        if (!out.empty())
-            out += ", ";
-        out += e.key;
-    }
-    return out;
-}
-
-/** Every accepted --inject-fault name, in declaration order. */
-std::string
-knownFaultNames()
-{
-    std::string out;
-    for (FaultInjection f : allFaultInjections()) {
-        if (!out.empty())
-            out += ", ";
-        out += faultKey(f);
-    }
-    return out;
+    return o.kind == Kind::Arg || o.kind == Kind::Args;
 }
 
 /**
- * Resolve a --workload name: server preset, else zoo spec key.
- * Prints its own diagnostic (with the full list of valid names for
- * the unknown-name case) and returns nullopt on failure.
+ * One verb's arguments, parsed against its option table. With @p help
+ * set, parse() prints the table there instead of parsing.
  */
-std::optional<WorkloadRef>
-resolveWorkload(const char *name, const char *prog)
+struct Cli
 {
-    if (const std::optional<ServerWorkload> w = workloadFromName(name))
-        return WorkloadRef(*w);
-    if (const auto entry = findZooEntry(name)) {
-        std::string err;
-        auto spec = loadWorkloadSpecFile(entry->path, &err);
-        if (!spec) {
-            std::fprintf(stderr, "%s: %s\n", prog, err.c_str());
-            return std::nullopt;
-        }
-        return workloadRefFromSpec(std::move(*spec));
-    }
-    std::fprintf(stderr,
-                 "%s: unknown workload '%s' (known: %s)\n", prog, name,
-                 knownWorkloadNames().c_str());
-    return std::nullopt;
-}
+    std::string verb;
+    std::string summary;
+    std::vector<std::string> args;
+    std::FILE *help = nullptr;
+    /** (option or positional name, value) in argv order. */
+    std::vector<std::pair<std::string, std::string>> seen{};
+    int status = 2;
 
-/** Load a --workload-file spec (diagnostic printed on failure). */
-std::optional<WorkloadRef>
-loadWorkloadFile(const char *path, const char *prog)
-{
-    std::string err;
-    auto spec = loadWorkloadSpecFile(path, &err);
-    if (!spec) {
-        std::fprintf(stderr, "%s: %s\n", prog, err.c_str());
-        return std::nullopt;
-    }
-    return workloadRefFromSpec(std::move(*spec));
-}
-
-/** Parse run/sweep options from argv[from..). Returns false on error. */
-bool
-parseOptions(int argc, char **argv, int from, bool allow_param,
-             CliOptions &opts)
-{
-    ExperimentBudget budget;
-    bool budget_set = false;
-    if (opts.run.budget) {
-        budget = *opts.run.budget;
-        budget_set = true;
-    }
-
-    for (int i = from; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "pifetch: %s needs a value\n",
-                             arg.c_str());
-                return nullptr;
-            }
-            return argv[++i];
-        };
-
-        const auto badValue = [&](const char *v) {
-            std::fprintf(stderr,
-                         "pifetch: bad value '%s' for %s\n",
-                         v ? v : "<missing>", arg.c_str());
+    /**
+     * Walk args through @p table, calling each row's handler. False
+     * means return status: 2 after a reported usage error, 0 after
+     * printing help.
+     */
+    bool
+    parse(const std::vector<Option> &table)
+    {
+        if (help) {
+            printTable(table);
+            status = 0;
             return false;
-        };
-
-        if (arg == "--workload") {
-            const char *v = next();
-            if (!v)
-                return false;
-            const auto w = resolveWorkload(v, "pifetch");
-            if (!w)
-                return false;
-            opts.run.workloads.push_back(*w);
-        } else if (arg == "--workload-file") {
-            const char *v = next();
-            if (!v)
-                return false;
-            const auto w = loadWorkloadFile(v, "pifetch");
-            if (!w)
-                return false;
-            opts.run.workloads.push_back(*w);
-        } else if (arg == "--json") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.jsonPath = v;
-        } else if (arg == "--csv") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.csvPath = v;
-        } else if (arg == "--threads") {
-            const char *v = next();
+        }
+        std::vector<const Option *> positionals;
+        for (const Option &o : table) {
+            if (positional(o))
+                positionals.push_back(&o);
+        }
+        std::size_t next_positional = 0;
+        for (std::size_t i = 0; i < args.size(); ++i) {
+            const std::string &arg = args[i];
+            const Option *opt = nullptr;
+            std::string value;
             std::uint64_t n = 0;
-            if (!v || !parseU64Arg(v, n))
-                return badValue(v);
-            opts.run.cfg.threads = static_cast<unsigned>(n);
-        } else if (arg == "--warmup") {
-            const char *v = next();
-            std::uint64_t n = 0;
-            if (!v || !parseU64Arg(v, n))
-                return badValue(v);
-            budget.warmup = n;
-            budget_set = true;
-        } else if (arg == "--measure") {
-            const char *v = next();
-            std::uint64_t n = 0;
-            if (!v || !parseU64Arg(v, n))
-                return badValue(v);
-            budget.measure = n;
-            budget_set = true;
-        } else if (arg == "--seed") {
-            const char *v = next();
-            std::uint64_t n = 0;
-            if (!v || !parseU64Arg(v, n))
-                return badValue(v);
-            opts.run.cfg.seed = n;
-            opts.configTouched = true;
-        } else if (arg == "--set") {
-            const char *v = next();
-            if (!v)
-                return false;
-            const char *eq = std::strchr(v, '=');
-            if (!eq) {
-                std::fprintf(stderr,
-                             "pifetch: --set expects key=value\n");
-                return false;
-            }
-            const std::string key(v, eq);
-            if (!applyConfigOverride(opts.run.cfg, key, eq + 1)) {
-                std::fprintf(stderr,
-                             "pifetch: bad override '%s' (see "
-                             "`pifetch list` for keys)\n", v);
-                return false;
-            }
-            opts.configTouched = true;
-        } else if (allow_param && arg == "--param") {
-            const char *v = next();
-            if (!v)
-                return false;
-            const char *eq = std::strchr(v, '=');
-            if (!eq || eq[1] == '\0') {
-                std::fprintf(stderr,
-                             "pifetch: --param expects "
-                             "key=v1,v2,...\n");
-                return false;
-            }
-            std::vector<std::string> values;
-            std::string cur;
-            for (const char *p = eq + 1;; ++p) {
-                if (*p == ',' || *p == '\0') {
-                    values.push_back(cur);
-                    cur.clear();
-                    if (*p == '\0')
-                        break;
-                } else {
-                    cur += *p;
+            if (arg.empty() || arg[0] != '-') {
+                if (next_positional == positionals.size())
+                    return fail("unexpected argument '" + arg + "'");
+                opt = positionals[next_positional];
+                if (opt->kind == Kind::Arg)
+                    ++next_positional;
+                value = arg;
+            } else {
+                for (const Option &o : table) {
+                    if (!positional(o) && o.name == arg)
+                        opt = &o;
+                }
+                if (!opt)
+                    return fail("unknown option '" + arg + "'");
+                if (opt->kind != Kind::Flag) {
+                    if (i + 1 == args.size())
+                        return fail(arg + " needs a value");
+                    value = args[++i];
+                }
+                if (opt->kind == Kind::Uint &&
+                    (!parseU64Value(value, n) || n < opt->min ||
+                     n > opt->max)) {
+                    return fail("bad value '" + value + "' for " + arg +
+                                rangeNote(*opt));
                 }
             }
-            opts.grid.emplace_back(std::string(v, eq),
-                                   std::move(values));
-        } else if (arg == "--quiet") {
-            opts.quiet = true;
-        } else {
-            std::fprintf(stderr, "pifetch: unknown option '%s'\n",
-                         arg.c_str());
-            return false;
+            seen.emplace_back(opt->name, value);
+            const std::string err = opt->set(value, n);
+            if (!err.empty())
+                return fail(err);
         }
+        // Structured output streams must not interleave on stdout.
+        std::string owner;
+        for (const Option &o : table) {
+            const auto *out = o.kind == Kind::Out ? given({o.name}) : nullptr;
+            if (!out || out->second != "-")
+                continue;
+            if (!owner.empty())
+                return fail(owner + " - and " + o.name + " - would both "
+                            "write to stdout; send one to a file");
+            owner = o.name;
+        }
+        return true;
     }
-    if (budget_set)
-        opts.run.budget = budget;
-    if (opts.jsonPath == "-" && opts.csvPath == "-") {
-        std::fprintf(stderr,
-                     "pifetch: --json - and --csv - would interleave "
-                     "on stdout; write at least one to a file\n");
+
+    /** Report "pifetch <verb>: msg" and return @p code. */
+    int
+    error(const std::string &msg, int code = 2) const
+    {
+        std::fprintf(stderr, "pifetch %s: %s\n", verb.c_str(),
+                     msg.c_str());
+        return code;
+    }
+
+    /** The last of @p names given, with its value; nullptr if none. */
+    const std::pair<std::string, std::string> *
+    given(std::initializer_list<std::string> names) const
+    {
+        const std::pair<std::string, std::string> *found = nullptr;
+        for (const auto &entry : seen) {
+            for (const std::string &name : names) {
+                if (entry.first == name)
+                    found = &entry;
+            }
+        }
+        return found;
+    }
+
+  private:
+    bool
+    fail(const std::string &msg)
+    {
+        error(msg);
+        status = 2;
         return false;
     }
-    return true;
-}
+
+    void
+    printTable(const std::vector<Option> &table) const
+    {
+        std::string synopsis = "pifetch " + verb;
+        bool options = false;
+        for (const Option &o : table) {
+            if (positional(o))
+                synopsis += " " + o.name;
+            else
+                options = true;
+        }
+        if (options)
+            synopsis += " [options]";
+        std::fprintf(help, "\n%s\n    %s\n", synopsis.c_str(),
+                     summary.c_str());
+        for (const Option &o : table) {
+            const std::string left =
+                o.value.empty() ? o.name : o.name + " " + o.value;
+            std::fprintf(help, "  %-20s %s%s\n", left.c_str(),
+                         o.help.c_str(), rangeNote(o).c_str());
+        }
+    }
+};
+
+// ------------------------------------------------ shared option rows
 
 /** Write @p text to @p path, or stdout when path is "-". */
 bool
@@ -453,29 +305,136 @@ writeOutput(const std::string &path, const std::string &text)
     return true;
 }
 
-/** Human report wanted? Not when structured output owns stdout. */
-bool
-wantReport(const CliOptions &opts)
+/** The --json/--csv/--quiet group and the report/output plumbing. */
+struct Output
 {
-    return !opts.quiet && opts.jsonPath != "-" && opts.csvPath != "-";
-}
+    std::string json;
+    std::string csv;
+    bool quiet = false;
+
+    std::vector<Option>
+    rows(bool with_csv = true, bool with_quiet = true)
+    {
+        std::vector<Option> out = {
+            path("--json", "FILE|-",
+                 "write the JSON document (- = stdout, no report)", json,
+                 Kind::Out)};
+        if (with_csv)
+            out.push_back(path("--csv", "FILE|-",
+                               "write the result tables as CSV", csv,
+                               Kind::Out));
+        if (with_quiet)
+            out.push_back(flag("--quiet",
+                               "suppress the human-readable report",
+                               [this] { quiet = true; }));
+        return out;
+    }
+
+    /** Human report wanted? Not when structured output owns stdout. */
+    bool
+    report() const
+    {
+        return !quiet && json != "-" && csv != "-";
+    }
+
+    /** Write @p doc to --json and --csv; false after an I/O error. */
+    bool
+    write(const ResultValue &doc) const
+    {
+        return (json.empty() || writeOutput(json, toJson(doc, 2) + "\n")) &&
+               (csv.empty() || writeOutput(csv, toCsv(doc)));
+    }
+};
 
 bool
-emitOutputs(const CliOptions &opts, const ResultValue &doc)
+emitOutputs(const Output &out, const ResultValue &doc)
 {
-    if (wantReport(opts))
+    if (out.report())
         std::fputs(renderText(doc).c_str(), stdout);
-    if (!opts.jsonPath.empty() &&
-        !writeOutput(opts.jsonPath, toJson(doc, 2) + "\n"))
-        return false;
-    if (!opts.csvPath.empty() && !writeOutput(opts.csvPath, toCsv(doc)))
-        return false;
-    return true;
+    return out.write(doc);
 }
+
+/** --workload / --workload-file, each resolved into @p into. */
+std::vector<Option>
+workloadRows(std::vector<WorkloadRef> &into)
+{
+    const auto add = [&into](bool is_file) {
+        return [&into, is_file](const std::string &v) {
+            std::string err;
+            if (auto w = resolveWorkload(v, is_file, &err))
+                into.push_back(std::move(*w));
+            return err;
+        };
+    };
+    return {text("--workload", "W",
+                 "server preset or zoo spec name (see `pifetch list`)",
+                 add(false)),
+            text("--workload-file", "F",
+                 "JSON workload spec (docs/workloads.md)", add(true))};
+}
+
+/** --seed and `--set key=value` on @p cfg. */
+std::vector<Option>
+configRows(SystemConfig &cfg)
+{
+    return {num("--seed", "master seed (default 42)",
+                [&cfg](std::uint64_t n) { cfg.seed = n; }),
+            text("--set", "K=V",
+                 "config override (repeatable; keys listed below)",
+                 [&cfg](const std::string &kv) -> std::string {
+                     const std::size_t eq = kv.find('=');
+                     if (eq == std::string::npos)
+                         return "--set expects key=value";
+                     std::string err;
+                     applyConfigOverride(cfg, kv.substr(0, eq),
+                                         kv.substr(eq + 1), &err);
+                     return err;
+                 })};
+}
+
+/** State of the run/sweep option rows. */
+struct RunArgs
+{
+    const ExperimentSpec *spec = nullptr;
+    RunOptions run;
+    std::optional<std::uint64_t> warmup;
+    std::optional<std::uint64_t> measure;
+    Output out;
+};
+
+std::vector<Option>
+runRows(RunArgs &a)
+{
+    return concat(
+        {{text("<experiment>", "", "registry name (see `pifetch list`)",
+               [&a](const std::string &v) -> std::string {
+                   a.spec = findExperiment(v);
+                   if (!a.spec)
+                       return "unknown experiment '" + v +
+                              "' (try `pifetch list`)";
+                   return "";
+               },
+               Kind::Arg)},
+         workloadRows(a.run.workloads),
+         {num("--threads", "worker threads (0 = auto / PIFETCH_THREADS)",
+              [&a](std::uint64_t n) {
+                  a.run.cfg.threads = static_cast<unsigned>(n);
+              },
+              0, maxThreads),
+          num("--warmup", "warmup instructions",
+              [&a](std::uint64_t n) { a.warmup = n; }),
+          num("--measure", "measured instructions",
+              [&a](std::uint64_t n) { a.measure = n; })},
+         configRows(a.run.cfg), a.out.rows()});
+}
+
+// --------------------------------------------------------------- verbs
 
 int
-cmdList()
+cmdList(Cli &cli)
 {
+    if (!cli.parse({}))
+        return cli.status;
     std::printf("%-16s %s\n", "name", "description");
     for (const ExperimentSpec &spec : experimentRegistry())
         std::printf("%-16s %s\n", spec.name.c_str(),
@@ -501,71 +460,41 @@ cmdList()
 }
 
 int
-cmdRun(int argc, char **argv)
+cmdRun(Cli &cli)
 {
-    if (argc < 3) {
-        std::fprintf(stderr, "pifetch run: missing experiment name\n");
-        return 2;
+    RunArgs a;
+    if (!cli.parse(runRows(a)))
+        return cli.status;
+    if (!a.spec)
+        return cli.error("missing experiment name");
+    if (!a.spec->usesConfig && cli.given({"--seed", "--set"})) {
+        return cli.error("'" + a.spec->name + "' is an analysis-only "
+                         "study; --seed/--set have no effect on it");
     }
-    const ExperimentSpec *spec = findExperiment(argv[2]);
-    if (!spec) {
-        std::fprintf(stderr,
-                     "pifetch: unknown experiment '%s' "
-                     "(try `pifetch list`)\n", argv[2]);
-        return 2;
-    }
-    CliOptions opts;
-    // Seed from the experiment's own defaults so a lone --warmup or
-    // --measure adjusts one half without resetting the other.
-    opts.run.budget = spec->defaultBudget;
-    if (!parseOptions(argc, argv, 3, false, opts))
-        return 2;
-    if (!spec->usesConfig && opts.configTouched) {
-        std::fprintf(stderr,
-                     "pifetch: '%s' is an analysis-only study; "
-                     "--seed/--set have no effect on it\n",
-                     spec->name.c_str());
-        return 2;
-    }
-    const ResultValue doc = runExperiment(*spec, opts.run);
-    return emitOutputs(opts, doc) ? 0 : 1;
+    if (const auto bad = validateSystemConfig(a.run.cfg))
+        return cli.error(*bad);
+    // A lone --warmup or --measure adjusts one half of the
+    // experiment's own budget without resetting the other.
+    a.run.budget = a.spec->defaultBudget;
+    a.run.budget->warmup = a.warmup.value_or(a.run.budget->warmup);
+    a.run.budget->measure = a.measure.value_or(a.run.budget->measure);
+    return emitOutputs(a.out, runExperiment(*a.spec, a.run)) ? 0 : 1;
 }
 
-/** Sweep-service options split off before the common option parser. */
-struct SweepServiceOptions
+/**
+ * Emit a sweep document per the CLI options: per-point report, then
+ * --json. With @p dir, `<dir>/merged.json` is written first.
+ */
+int
+emitSweepDoc(const Output &out, const ResultValue &doc,
+             const std::string &dir = "")
 {
-    std::string dir;
-    std::uint64_t shards = 0;
-    bool shardsSet = false;
-    std::uint64_t shard = 0;
-    bool shardSet = false;
-    bool resume = false;
-    bool merge = false;
-    /** CLI-form base inputs captured for the manifest. */
-    std::vector<SweepWorkloadRef> workloads;
-    std::vector<std::pair<std::string, std::string>> overrides;
-    std::optional<std::uint64_t> warmup;
-    std::optional<std::uint64_t> measure;
-};
-
-/** Options of the common parser that consume a value. */
-bool
-sweepValueOption(const std::string &arg)
-{
-    return arg == "--workload" || arg == "--workload-file" ||
-           arg == "--json" || arg == "--csv" || arg == "--threads" ||
-           arg == "--warmup" || arg == "--measure" ||
-           arg == "--seed" || arg == "--set" || arg == "--param";
-}
-
-/** Per-point report for an assembled sweep document. */
-void
-printSweepReport(const ResultValue &doc)
-{
+    if (!dir.empty() &&
+        !writeOutput(sweepMergedPath(dir), toJson(doc, 2) + "\n"))
+        return 1;
     const ResultValue *runs = doc.find("runs");
-    if (!runs)
-        return;
-    for (std::size_t p = 0; p < runs->size(); ++p) {
+    for (std::size_t p = 0; out.report() && runs && p < runs->size();
+         ++p) {
         std::printf("--- point %zu/%zu:", p + 1, runs->size());
         const ResultValue *params = runs->at(p).find("params");
         for (std::size_t j = 0; params && j < params->size(); ++j) {
@@ -576,295 +505,178 @@ printSweepReport(const ResultValue &doc)
         if (const ResultValue *result = runs->at(p).find("result"))
             std::fputs(renderText(*result).c_str(), stdout);
     }
-}
-
-/** Emit the merged/in-process sweep document per the CLI options. */
-int
-emitSweepDoc(const CliOptions &opts, const ResultValue &doc)
-{
-    if (wantReport(opts))
-        printSweepReport(doc);
-    if (!opts.jsonPath.empty() &&
-        !writeOutput(opts.jsonPath, toJson(doc, 2) + "\n"))
+    if (!out.json.empty() &&
+        !writeOutput(out.json, toJson(doc, 2) + "\n"))
         return 1;
     return 0;
 }
 
-int
-cmdSweep(int argc, char **argv)
+/** Parse a `--param key=v1,v2,...` axis into @p grid. */
+std::string
+addAxis(std::vector<SweepAxis> &grid, const std::string &v)
 {
-    // Split the sweep-service options (--dir/--shards/--shard/
-    // --resume/--merge) from the common run options, capturing the
-    // raw workload / override / budget inputs for the manifest as
-    // they pass through.
-    SweepServiceOptions svc;
-    std::vector<char *> rest = {argv[0], argv[1]};
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "pifetch sweep: %s needs a value\n",
-                             arg.c_str());
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (arg == "--dir") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            svc.dir = v;
-        } else if (arg == "--shards" || arg == "--shard") {
-            const char *v = next();
-            std::uint64_t n = 0;
-            if (!v || !parseU64Arg(v, n)) {
-                std::fprintf(stderr,
-                             "pifetch sweep: bad value '%s' for %s\n",
-                             v ? v : "<missing>", arg.c_str());
-                return 2;
-            }
-            if (arg == "--shards") {
-                svc.shards = n;
-                svc.shardsSet = true;
-            } else {
-                svc.shard = n;
-                svc.shardSet = true;
-            }
-        } else if (arg == "--resume") {
-            svc.resume = true;
-        } else if (arg == "--merge") {
-            svc.merge = true;
-        } else if (sweepValueOption(arg)) {
-            const char *v = next();
-            if (!v)
-                return 2;
-            if (arg == "--workload") {
-                svc.workloads.push_back({v, false});
-            } else if (arg == "--workload-file") {
-                svc.workloads.push_back({v, true});
-            } else if (arg == "--seed") {
-                svc.overrides.emplace_back("seed", v);
-            } else if (arg == "--set") {
-                if (const char *eq = std::strchr(v, '='))
-                    svc.overrides.emplace_back(std::string(v, eq),
-                                               eq + 1);
-            } else if (arg == "--warmup" || arg == "--measure") {
-                std::uint64_t n = 0;
-                if (parseU64Arg(v, n))
-                    (arg == "--warmup" ? svc.warmup
-                                       : svc.measure) = n;
-            }
-            rest.push_back(argv[i - 1]);
-            rest.push_back(argv[i]);
-        } else {
-            rest.push_back(argv[i]);
-        }
+    const std::size_t eq = v.find('=');
+    if (eq == std::string::npos || eq + 1 == v.size())
+        return "--param expects key=v1,v2,...";
+    SweepAxis axis{v.substr(0, eq), {}};
+    for (std::size_t from = eq + 1;;) {
+        const std::size_t comma = v.find(',', from);
+        axis.values.push_back(v.substr(from, comma - from));
+        if (comma == std::string::npos)
+            break;
+        from = comma + 1;
     }
-    const int restc = static_cast<int>(rest.size());
+    grid.push_back(std::move(axis));
+    return "";
+}
 
-    if (svc.shardsSet && svc.shards == 0) {
-        std::fprintf(stderr, "pifetch sweep: --shards must be >= 1\n");
-        return 2;
-    }
-    if ((svc.shardsSet || svc.shardSet || svc.merge) &&
-        svc.dir.empty()) {
-        std::fprintf(stderr,
-                     "pifetch sweep: --shards/--shard/--merge need "
-                     "--dir\n");
-        return 2;
+int
+cmdSweep(Cli &cli)
+{
+    RunArgs a;
+    std::vector<SweepAxis> grid;
+    std::string dir;
+    std::optional<std::uint64_t> shards;
+    std::optional<std::uint64_t> shard;
+    bool resume = false;
+    bool merge = false;
+    const std::vector<Option> table = concat(
+        {runRows(a),
+         {text("--param", "K=V1,V2",
+               "grid axis, one run per value (repeatable; axes multiply)",
+               [&grid](const std::string &v) { return addAxis(grid, v); }),
+          path("--dir", "D",
+               "sweep directory: manifest, shard files, merged.json", dir),
+          num("--shards", "partition the grid over N child processes",
+              [&shards](std::uint64_t n) { shards = n; }, 1, 1u << 20),
+          num("--shard", "worker mode: run shard N of the --dir manifest",
+              [&shard](std::uint64_t n) { shard = n; }, 0,
+              std::numeric_limits<unsigned>::max()),
+          flag("--resume",
+               "skip journaled-complete points (same command line)",
+               [&resume] { resume = true; }),
+          flag("--merge", "assemble merged.json from completed shards",
+               [&merge] { merge = true; })}});
+    if (!cli.parse(table))
+        return cli.status;
+    if ((shards || shard || merge) && dir.empty())
+        return cli.error("--shards/--shard/--merge need --dir");
+
+    std::string err;
+    // Worker and merge modes: everything comes from the on-disk
+    // manifest; only the shard ordinal (and --resume) arrive on the
+    // command line.
+    if (shard || merge) {
+        for (const auto &entry : cli.seen) {
+            if (shard && entry.first != "--dir" &&
+                entry.first != "--shard" && entry.first != "--resume")
+                return cli.error("--shard takes only --dir and --resume");
+        }
+        if (merge && (a.spec || !grid.empty()))
+            return cli.error("--merge takes no experiment or --param");
+        const auto m = loadManifest(sweepManifestPath(dir), &err);
+        if (!m)
+            return cli.error(err);
+        if (shard) {
+            return runSweepShard(dir, *m, static_cast<unsigned>(*shard),
+                                 resume, &err)
+                       ? 0
+                       : cli.error(err, 1);
+        }
+        // Merge: assemble <dir>/merged.json from completed shards
+        // without running anything.
+        const auto doc = mergeShardedSweep(dir, *m, &err);
+        if (!doc)
+            return cli.error(err, 1);
+        return emitSweepDoc(a.out, *doc, dir);
     }
 
-    // Worker mode: everything comes from the on-disk manifest; only
-    // the shard ordinal (and --resume) arrive on the command line.
-    if (svc.shardSet) {
-        if (restc > 2 || svc.shardsSet || svc.merge) {
-            std::fprintf(stderr,
-                         "pifetch sweep: --shard takes only --dir "
-                         "and --resume\n");
-            return 2;
-        }
-        std::string err;
-        const auto m = loadManifest(sweepManifestPath(svc.dir), &err);
-        if (!m) {
-            std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-            return 2;
-        }
-        if (!runSweepShard(svc.dir, *m,
-                           static_cast<unsigned>(svc.shard),
-                           svc.resume, &err)) {
-            std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-            return 1;
-        }
-        return 0;
-    }
-
-    // Merge mode: assemble <dir>/merged.json from completed shards
-    // without running anything.
-    if (svc.merge) {
-        CliOptions opts;
-        if (!parseOptions(restc, rest.data(), 2, false, opts))
-            return 2;
-        std::string err;
-        const auto m = loadManifest(sweepManifestPath(svc.dir), &err);
-        if (!m) {
-            std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-            return 2;
-        }
-        const auto doc = mergeShardedSweep(svc.dir, *m, &err);
-        if (!doc) {
-            std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-            return 1;
-        }
-        if (!writeOutput(sweepMergedPath(svc.dir),
-                         toJson(*doc, 2) + "\n"))
-            return 1;
-        return emitSweepDoc(opts, *doc);
-    }
-
-    if (restc < 3) {
-        std::fprintf(stderr,
-                     "pifetch sweep: missing experiment name\n");
-        return 2;
-    }
-    const ExperimentSpec *spec = findExperiment(rest[2]);
-    if (!spec) {
-        std::fprintf(stderr,
-                     "pifetch: unknown experiment '%s' "
-                     "(try `pifetch list`)\n", rest[2]);
-        return 2;
-    }
-    CliOptions opts;
-    opts.run.budget = spec->defaultBudget;
-    if (!parseOptions(restc, rest.data(), 3, true, opts))
-        return 2;
-    if (opts.grid.empty()) {
-        std::fprintf(stderr,
-                     "pifetch sweep: need at least one --param\n");
-        return 2;
-    }
-    if (!spec->usesConfig) {
+    if (!a.spec)
+        return cli.error("missing experiment name");
+    if (grid.empty())
+        return cli.error("need at least one --param");
+    if (!a.spec->usesConfig) {
         // Every sweepable parameter is a config override, and this
         // runner never reads the config — the grid would rerun the
         // identical study labeled as varied.
-        std::fprintf(stderr,
-                     "pifetch sweep: '%s' is an analysis-only study "
-                     "that ignores configuration parameters\n",
-                     spec->name.c_str());
-        return 2;
+        return cli.error("'" + a.spec->name + "' is an analysis-only "
+                         "study that ignores configuration parameters");
     }
-    if (!opts.csvPath.empty()) {
-        std::fprintf(stderr,
-                     "pifetch sweep: --csv is not supported; use "
-                     "--json\n");
-        return 2;
-    }
+    if (!a.out.csv.empty())
+        return cli.error("--csv is not supported; use --json");
 
-    // Validate every grid value against a scratch config up front so
-    // a typo fails before hours of simulation.
-    for (const auto &[key, values] : opts.grid) {
-        if (key == "threads") {
-            // Results are thread-invariant and each grid point is
-            // pinned serial — a threads axis would only oversubscribe.
-            std::fprintf(stderr,
-                         "pifetch sweep: 'threads' is not sweepable "
-                         "(results are thread-invariant); use "
-                         "--threads for the fan-out width\n");
-            return 2;
-        }
-        for (const std::string &v : values) {
-            SystemConfig scratch = opts.run.cfg;
-            if (!applyConfigOverride(scratch, key, v)) {
-                std::fprintf(stderr,
-                             "pifetch sweep: bad --param %s=%s\n",
-                             key.c_str(), v.c_str());
-                return 2;
-            }
-        }
-    }
-
-    // The manifest pins the whole sweep; in-process and sharded runs
-    // both execute through it (runSweepPoint / assembleSweepDoc), so
-    // their documents agree byte for byte.
+    // The manifest pins the whole sweep from the raw command-line
+    // values; in-process and sharded runs both execute through it
+    // (runSweepPoint / assembleSweepDoc), so their documents agree
+    // byte for byte.
     SweepManifest manifest;
-    manifest.experiment = spec->name;
-    for (const auto &[key, values] : opts.grid)
-        manifest.axes.push_back(SweepAxis{key, values});
-    manifest.shards = svc.shardsSet
-                          ? static_cast<unsigned>(svc.shards)
-                          : 1;
-    manifest.workloads = svc.workloads;
-    manifest.overrides = svc.overrides;
-    manifest.warmup = svc.warmup;
-    manifest.measure = svc.measure;
+    manifest.experiment = a.spec->name;
+    manifest.axes = grid;
+    manifest.shards = shards ? static_cast<unsigned>(*shards) : 1;
+    for (const auto &[name, value] : cli.seen) {
+        if (name == "--workload" || name == "--workload-file") {
+            manifest.workloads.push_back(
+                {value, name == "--workload-file"});
+        } else if (name == "--seed") {
+            manifest.overrides.emplace_back("seed", value);
+        } else if (name == "--set") {
+            const std::size_t eq = value.find('=');
+            manifest.overrides.emplace_back(value.substr(0, eq),
+                                            value.substr(eq + 1));
+        }
+    }
+    manifest.warmup = a.warmup;
+    manifest.measure = a.measure;
+    // Every grid point is checked up front, so a typo fails before
+    // hours of simulation.
+    if (const auto bad = validateSweepConfig(manifest))
+        return cli.error(*bad);
 
-    std::string err;
-    const std::uint64_t points = sweepPointCount(manifest);
-
-    if (svc.shardsSet) {
-        if (svc.resume) {
+    if (shards) {
+        if (resume) {
             // A resume must be the same sweep: the command line is
             // re-pinned and compared byte for byte against the
             // manifest the crashed run wrote.
             const auto on_disk =
-                loadManifest(sweepManifestPath(svc.dir), &err);
-            if (!on_disk) {
-                std::fprintf(stderr, "pifetch sweep: %s (run without "
-                             "--resume to start fresh)\n",
-                             err.c_str());
-                return 2;
-            }
+                loadManifest(sweepManifestPath(dir), &err);
+            if (!on_disk)
+                return cli.error(err + " (run without --resume to start "
+                                 "fresh)");
             if (manifestJson(*on_disk) != manifestJson(manifest)) {
-                std::fprintf(stderr,
-                             "pifetch sweep: %s pins a different "
-                             "sweep than this command line; --resume "
-                             "needs the original arguments\n",
-                             sweepManifestPath(svc.dir).c_str());
-                return 2;
+                return cli.error(sweepManifestPath(dir) + " pins a "
+                                 "different sweep than this command "
+                                 "line; --resume needs the original "
+                                 "arguments");
             }
-        } else if (!initSweepDir(svc.dir, manifest, &err)) {
-            std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-            return 1;
+        } else if (!initSweepDir(dir, manifest, &err)) {
+            return cli.error(err, 1);
         }
         const std::string exe = selfExePath();
-        if (exe.empty()) {
-            std::fprintf(stderr,
-                         "pifetch sweep: cannot resolve own "
-                         "executable path for shard workers\n");
-            return 1;
-        }
-        if (!runShardedSweep(svc.dir, manifest, exe,
-                             opts.run.cfg.threads, svc.resume,
-                             &err)) {
-            std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-            return 1;
-        }
-        const auto doc = mergeShardedSweep(svc.dir, manifest, &err);
-        if (!doc) {
-            std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-            return 1;
-        }
-        if (!writeOutput(sweepMergedPath(svc.dir),
-                         toJson(*doc, 2) + "\n"))
-            return 1;
-        return emitSweepDoc(opts, *doc);
+        if (exe.empty())
+            return cli.error("cannot resolve own executable path for "
+                             "shard workers", 1);
+        if (!runShardedSweep(dir, manifest, exe, a.run.cfg.threads,
+                             resume, &err))
+            return cli.error(err, 1);
+        const auto doc = mergeShardedSweep(dir, manifest, &err);
+        if (!doc)
+            return cli.error(err, 1);
+        return emitSweepDoc(a.out, *doc, dir);
     }
 
     // In-process: grid points fan over the worker pool; each point
     // runs serially inside (threads = 1) so the fan-out is the only
     // parallelism.
-    const auto base = sweepBaseOptions(*spec, manifest, &err);
-    if (!base) {
-        std::fprintf(stderr, "pifetch sweep: %s\n", err.c_str());
-        return 2;
-    }
+    const auto base = sweepBaseOptions(*a.spec, manifest, &err);
+    if (!base)
+        return cli.error(err);
+    const std::uint64_t points = sweepPointCount(manifest);
     std::vector<ResultValue> docs(points);
-    parallelFor(opts.run.cfg.threads, points, [&](std::uint64_t p) {
-        docs[p] = runSweepPoint(*spec, *base, manifest, p);
+    parallelFor(a.run.cfg.threads, points, [&](std::uint64_t p) {
+        docs[p] = runSweepPoint(*a.spec, *base, manifest, p);
     });
-    const ResultValue doc = assembleSweepDoc(manifest,
-                                             std::move(docs));
-    return emitSweepDoc(opts, doc);
+    return emitSweepDoc(a.out,
+                        assembleSweepDoc(manifest, std::move(docs)));
 }
 
 /** `pifetch trace info` document for one trace file. */
@@ -874,8 +686,9 @@ traceInfoDoc(const std::string &path, std::string *err)
     const auto format = probeTraceFile(path, err);
     if (!format)
         return std::nullopt;
-    ResultValue doc = ResultValue::object();
-    doc.set("path", path);
+    std::optional<TraceV2Info> v2;
+    std::uint64_t records = 0;
+    std::uint64_t bytes = 0;
     if (*format == TraceFileFormat::V1) {
         // The header count (validated against the file size at open)
         // is all info needs: no record is decoded.
@@ -886,301 +699,204 @@ traceInfoDoc(const std::string &path, std::string *err)
                 *err = path + ": invalid v1 trace";
             return std::nullopt;
         }
-        const std::uint64_t records = reader.count();
-        const auto bytes = static_cast<std::uint64_t>(st.st_size);
-        doc.set("format", "pifetch-trace-v1");
-        doc.set("records", records);
-        doc.set("fileBytes", bytes);
-        if (records > 0)
-            doc.set("bytesPerRecord",
-                    static_cast<double>(bytes) /
-                        static_cast<double>(records));
-        return doc;
+        records = reader.count();
+        bytes = static_cast<std::uint64_t>(st.st_size);
+    } else {
+        v2 = traceV2Info(path, err);
+        if (!v2)
+            return std::nullopt;
+        records = v2->count;
+        bytes = v2->fileBytes;
     }
-    const auto info = traceV2Info(path, err);
-    if (!info)
-        return std::nullopt;
-    doc.set("format", "pifetch-trace-v2");
-    doc.set("records", info->count);
-    doc.set("fileBytes", info->fileBytes);
-    doc.set("chunks", info->chunks.size());
-    doc.set("indexOffset", info->indexOffset);
-    if (info->count > 0) {
-        doc.set("bytesPerRecord",
-                static_cast<double>(info->fileBytes) /
-                    static_cast<double>(info->count));
-        const double v1_bytes =
-            16.0 + 24.0 * static_cast<double>(info->count);
-        doc.set("v1Ratio",
-                v1_bytes / static_cast<double>(info->fileBytes));
+    ResultValue doc = ResultValue::object();
+    doc.set("path", path);
+    doc.set("format", v2 ? "pifetch-trace-v2" : "pifetch-trace-v1");
+    doc.set("records", records);
+    doc.set("fileBytes", bytes);
+    if (v2) {
+        doc.set("chunks", v2->chunks.size());
+        doc.set("indexOffset", v2->indexOffset);
+    }
+    if (records > 0) {
+        const auto size = static_cast<double>(bytes);
+        doc.set("bytesPerRecord", size / static_cast<double>(records));
+        if (v2)
+            doc.set("v1Ratio",
+                    (16.0 + 24.0 * static_cast<double>(records)) / size);
     }
     return doc;
 }
 
 int
-cmdTrace(int argc, char **argv)
+cmdTraceInfo(Cli &cli)
 {
-    const auto fail = [](const std::string &msg) {
-        std::fprintf(stderr, "pifetch trace: %s\n", msg.c_str());
-        return 1;
-    };
-    if (argc < 3) {
-        std::fprintf(stderr,
-                     "pifetch trace: expected pack|unpack|info\n");
-        return 2;
-    }
-    const std::string verb = argv[2];
+    std::string file;
+    Output out;
+    if (!cli.parse(concat({{path("<file>", "", "v1 or v2 trace file",
+                                 file, Kind::Arg)},
+                           out.rows(false, false)})))
+        return cli.status;
+    if (file.empty())
+        return cli.error("missing file");
     std::string err;
+    const auto doc = traceInfoDoc(file, &err);
+    if (!doc)
+        return cli.error(err, 1);
+    if (out.json != "-") {
+        for (std::size_t i = 0; i < doc->size(); ++i) {
+            const auto &[key, value] = doc->member(i);
+            std::printf("%-14s %s\n", key.c_str(),
+                        toJson(value, 0).c_str());
+        }
+    }
+    return out.write(*doc) ? 0 : 1;
+}
 
-    if (verb == "info") {
-        if (argc < 4) {
-            std::fprintf(stderr,
-                         "pifetch trace info: missing file\n");
-            return 2;
-        }
-        std::string json_path;
-        for (int i = 5; i < argc; i += 2) {
-            if (std::strcmp(argv[i - 1], "--json") == 0) {
-                json_path = argv[i];
-            } else {
-                std::fprintf(stderr,
-                             "pifetch trace info: unknown option "
-                             "'%s'\n", argv[i - 1]);
-                return 2;
-            }
-        }
-        const auto doc = traceInfoDoc(argv[3], &err);
-        if (!doc)
-            return fail(err);
-        if (json_path.empty() || json_path != "-") {
-            for (std::size_t i = 0; i < doc->size(); ++i) {
-                const auto &[key, value] = doc->member(i);
-                std::printf("%-14s %s\n", key.c_str(),
-                            toJson(value, 0).c_str());
-            }
-        }
-        if (!json_path.empty() &&
-            !writeOutput(json_path, toJson(*doc, 2) + "\n"))
-            return 1;
-        return 0;
-    }
-
-    if (verb != "pack" && verb != "unpack") {
-        std::fprintf(stderr,
-                     "pifetch trace: unknown verb '%s' (expected "
-                     "pack|unpack|info)\n", verb.c_str());
-        return 2;
-    }
-    if (argc != 5) {
-        std::fprintf(stderr,
-                     "pifetch trace %s: expected <in> <out>\n",
-                     verb.c_str());
-        return 2;
-    }
-    const std::string in = argv[3];
-    const std::string out = argv[4];
+/**
+ * Copy trace @p in (v1 or v2) into a fresh @p out through Writer,
+ * streaming one RecordBatch chunk at a time so repacking a
+ * multi-gigabyte corpus holds one chunk.
+ */
+template <class Writer>
+int
+convertTrace(const Cli &cli, const std::string &in, const std::string &out,
+             const char *done)
+{
+    std::string err;
     const auto format = probeTraceFile(in, &err);
     if (!format)
-        return fail(err);
-
-    // Both directions stream chunk by chunk through RecordBatch
-    // columns, so repacking a multi-gigabyte corpus holds one chunk.
-    RecordBatch batch;
-    if (verb == "pack") {
-        TraceV2Writer writer;
-        if (!writer.open(out))
-            return fail(writer.error());
-        if (*format == TraceFileFormat::V1) {
-            TraceBatchReader reader;
-            if (!reader.open(in))
-                return fail(in + ": invalid v1 trace");
-            while (reader.next(batch, traceV2ChunkRecords))
-                writer.addBatch(batch);
-            if (reader.failed())
-                return fail(in + ": read error mid-stream");
-        } else {
-            TraceV2Reader reader;
-            if (!reader.open(in))
-                return fail(reader.error());
-            while (reader.next(batch))
-                writer.addBatch(batch);
-            if (reader.failed())
-                return fail(reader.error());
-        }
-        if (!writer.finish())
-            return fail(writer.error());
-        std::printf("packed %llu records to %s\n",
-                    static_cast<unsigned long long>(writer.count()),
-                    out.c_str());
-        return 0;
-    }
-
-    TraceWriter writer;
+        return cli.error(err, 1);
+    Writer writer;
     if (!writer.open(out))
-        return fail(writer.error());
-    if (*format == TraceFileFormat::V2) {
-        TraceV2Reader reader;
-        if (!reader.open(in))
-            return fail(reader.error());
-        while (reader.next(batch))
-            writer.addBatch(batch);
-        if (reader.failed())
-            return fail(reader.error());
-    } else {
+        return cli.error(writer.error(), 1);
+    RecordBatch batch;
+    if (*format == TraceFileFormat::V1) {
         TraceBatchReader reader;
         if (!reader.open(in))
-            return fail(in + ": invalid v1 trace");
+            return cli.error(in + ": invalid v1 trace", 1);
         while (reader.next(batch, traceV2ChunkRecords))
             writer.addBatch(batch);
         if (reader.failed())
-            return fail(in + ": read error mid-stream");
+            return cli.error(in + ": read error mid-stream", 1);
+    } else {
+        TraceV2Reader reader;
+        if (!reader.open(in))
+            return cli.error(reader.error(), 1);
+        while (reader.next(batch))
+            writer.addBatch(batch);
+        if (reader.failed())
+            return cli.error(reader.error(), 1);
     }
     if (!writer.finish())
-        return fail(writer.error());
-    std::printf("unpacked %llu records to %s\n",
+        return cli.error(writer.error(), 1);
+    std::printf("%s %llu records to %s\n", done,
                 static_cast<unsigned long long>(writer.count()),
                 out.c_str());
     return 0;
 }
 
+/** `trace pack` (to v2) and `trace unpack` (to v1). */
 int
-cmdGolden(int argc, char **argv)
+cmdTraceConvert(Cli &cli)
 {
-    if (argc >= 3 && std::strcmp(argv[2], "--list") == 0) {
+    std::string in;
+    std::string out;
+    if (!cli.parse({path("<in>", "", "v1 or v2 trace file", in, Kind::Arg),
+                    path("<out>", "", "file to write", out, Kind::Arg)}))
+        return cli.status;
+    if (out.empty())
+        return cli.error("expected <in> <out>");
+    if (cli.verb == "trace pack")
+        return convertTrace<TraceV2Writer>(cli, in, out, "packed");
+    return convertTrace<TraceWriter>(cli, in, out, "unpacked");
+}
+
+int
+cmdGolden(Cli &cli)
+{
+    bool list = false;
+    std::string name;
+    if (!cli.parse({path("<fixture>", "", "fixture to emit", name,
+                         Kind::Arg),
+                    flag("--list", "print the fixture names",
+                         [&list] { list = true; })}))
+        return cli.status;
+    if (list) {
         for (const GoldenEntry &e : goldenSuite())
             std::printf("%s\n", goldenFixtureName(e).c_str());
         return 0;
     }
-    if (argc < 3) {
-        std::fprintf(stderr,
-                     "pifetch golden: expected --list or a "
-                     "fixture name\n");
-        return 2;
-    }
+    if (name.empty())
+        return cli.error("expected --list or a fixture name");
     for (const GoldenEntry &e : goldenSuite()) {
-        if (goldenFixtureName(e) == argv[2]) {
+        if (goldenFixtureName(e) == name) {
             std::fputs(goldenJson(e).c_str(), stdout);
             return 0;
         }
     }
-    std::fprintf(stderr,
-                 "pifetch golden: '%s' is not in the golden suite "
-                 "(see --list)\n", argv[2]);
-    return 2;
+    return cli.error("'" + name + "' is not in the golden suite (see "
+                     "--list)");
 }
 
 int
-cmdPerf(int argc, char **argv)
+cmdPerf(Cli &cli)
 {
-    if (argc >= 3 && std::strcmp(argv[2], "--list") == 0) {
+    PerfOptions opts;
+    Output out;
+    bool list = false;
+    const std::vector<Option> table = concat(
+        {{flag("--list", "enumerate the kernels and exit",
+               [&list] { list = true; }),
+          text("--kernel", "K", "run only kernel K (repeatable)",
+               [&opts](const std::string &v) -> std::string {
+                   if (!findPerfKernel(v))
+                       return "unknown kernel '" + v +
+                              "' (try `pifetch perf --list`)";
+                   opts.kernels.push_back(v);
+                   return "";
+               }),
+          num("--reps", "timed repetitions per kernel (default 5)",
+              [&opts](std::uint64_t n) {
+                  opts.protocol.reps = static_cast<unsigned>(n);
+              },
+              1, 1000),
+          num("--warmup-reps", "untimed repetitions first (default 1)",
+              [&opts](std::uint64_t n) {
+                  opts.protocol.warmupReps = static_cast<unsigned>(n);
+              },
+              0, 1000),
+          text("--scale", "X", "op-count multiplier in (0, 1e6] (default 1)",
+               [&opts](const std::string &v) -> std::string {
+                   char *end = nullptr;
+                   const double s = std::strtod(v.c_str(), &end);
+                   // Finite and bounded: "inf"/1e300 would overflow the
+                   // op counts (UB on the uint64 cast downstream).
+                   if (*end != '\0' || !(s > 0.0) || !(s <= 1e6))
+                       return "--scale must be a number in (0, 1e6]";
+                   opts.scale = s;
+                   return "";
+               }),
+          text("--workload", "W", "driving server preset (default db2)",
+               [&opts](const std::string &v) -> std::string {
+                   const std::optional<ServerWorkload> w =
+                       workloadFromName(v);
+                   if (!w)
+                       return "unknown workload '" + v + "'";
+                   opts.workload = *w;
+                   return "";
+               }),
+          num("--seed", "stream-generation seed",
+              [&opts](std::uint64_t n) { opts.seed = n; })},
+         out.rows()});
+    if (!cli.parse(table))
+        return cli.status;
+    if (list) {
         std::printf("%-20s %s\n", "kernel", "description");
         for (const PerfKernelSpec &k : perfKernels())
             std::printf("%-20s %s\n", k.name.c_str(),
                         k.description.c_str());
         return 0;
     }
-
-    PerfOptions opts;
-    CliOptions out;  // only jsonPath/csvPath/quiet are used
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "pifetch perf: %s needs a value\n",
-                             arg.c_str());
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        const auto badValue = [&](const char *v) {
-            std::fprintf(stderr, "pifetch perf: bad value '%s' for %s\n",
-                         v ? v : "<missing>", arg.c_str());
-            return 2;
-        };
-
-        if (arg == "--kernel") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            if (!findPerfKernel(v)) {
-                std::fprintf(stderr,
-                             "pifetch perf: unknown kernel '%s' "
-                             "(try `pifetch perf --list`)\n", v);
-                return 2;
-            }
-            opts.kernels.push_back(v);
-        } else if (arg == "--reps" || arg == "--warmup-reps" ||
-                   arg == "--seed") {
-            const char *v = next();
-            std::uint64_t n = 0;
-            if (!v || !parseU64Arg(v, n))
-                return badValue(v);
-            if (arg == "--reps") {
-                if (n == 0 || n > 1000) {
-                    std::fprintf(stderr,
-                                 "pifetch perf: --reps must be in "
-                                 "1..1000\n");
-                    return 2;
-                }
-                opts.protocol.reps = static_cast<unsigned>(n);
-            } else if (arg == "--warmup-reps") {
-                if (n > 1000) {
-                    std::fprintf(stderr,
-                                 "pifetch perf: --warmup-reps must "
-                                 "be <= 1000\n");
-                    return 2;
-                }
-                opts.protocol.warmupReps = static_cast<unsigned>(n);
-            } else {
-                opts.seed = n;
-            }
-        } else if (arg == "--scale") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            char *end = nullptr;
-            const double s = std::strtod(v, &end);
-            // Finite and bounded: "inf"/1e300 would overflow the op
-            // counts (UB on the uint64 cast downstream).
-            if (!end || *end != '\0' || !(s > 0.0) || !(s <= 1e6))
-                return badValue(v);
-            opts.scale = s;
-        } else if (arg == "--workload") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            const std::optional<ServerWorkload> w = workloadFromName(v);
-            if (!w) {
-                std::fprintf(stderr,
-                             "pifetch perf: unknown workload '%s'\n", v);
-                return 2;
-            }
-            opts.workload = *w;
-        } else if (arg == "--json") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            out.jsonPath = v;
-        } else if (arg == "--csv") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            out.csvPath = v;
-        } else if (arg == "--quiet") {
-            out.quiet = true;
-        } else {
-            std::fprintf(stderr, "pifetch perf: unknown option '%s'\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
-    if (out.jsonPath == "-" && out.csvPath == "-") {
-        std::fprintf(stderr,
-                     "pifetch: --json - and --csv - would interleave "
-                     "on stdout; write at least one to a file\n");
-        return 2;
-    }
-
     return emitOutputs(out, runPerfSuite(opts)) ? 0 : 1;
 }
 
@@ -1204,200 +920,106 @@ printCheckFailure(const ScenarioReport &r)
 }
 
 int
-cmdCheck(int argc, char **argv)
+cmdCheck(Cli &cli)
 {
     CheckOptions opts;
-    std::string jsonPath;
-    std::string reproPath = "pifetch-check-repro.json";
-    bool reproExplicit = false;
-    std::string replayPath;
-    bool haveReplaySeed = false;
-    std::uint64_t replaySeed = 0;
-    bool quiet = false;
-    /** Last fuzz-only option seen, for the replay-conflict check. */
-    std::string fuzzOnlyOption;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "pifetch check: %s needs a value\n",
-                             arg.c_str());
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        const auto badValue = [&](const char *v) {
-            std::fprintf(stderr,
-                         "pifetch check: bad value '%s' for %s\n",
-                         v ? v : "<missing>", arg.c_str());
-            return 2;
-        };
-
-        if (arg == "--seeds" || arg == "--seed" ||
-            arg == "--replay-seed" || arg == "--threads") {
-            const char *v = next();
-            std::uint64_t n = 0;
-            if (!v || !parseU64Arg(v, n))
-                return badValue(v);
-            if (arg == "--seeds") {
-                if (n == 0 || n > 100'000) {
-                    std::fprintf(stderr,
-                                 "pifetch check: --seeds must be in "
-                                 "1..100000\n");
-                    return 2;
-                }
-                opts.seeds = static_cast<unsigned>(n);
-                fuzzOnlyOption = arg;
-            } else if (arg == "--seed") {
-                opts.baseSeed = n;
-                fuzzOnlyOption = arg;
-            } else if (arg == "--replay-seed") {
-                haveReplaySeed = true;
-                replaySeed = n;
-            } else {
-                if (n > 256) {
-                    // Truncating would silently turn e.g. 2^32 into 0
-                    // ("auto"); resolveThreads caps at 256 anyway.
-                    std::fprintf(stderr,
-                                 "pifetch check: --threads must be "
-                                 "<= 256\n");
-                    return 2;
-                }
-                opts.threads = static_cast<unsigned>(n);
-                // Replay runs one scenario whose fan-out shape is the
-                // scenario's own `threads` field, not this option.
-                fuzzOnlyOption = arg;
-            }
-        } else if (arg == "--replay") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            replayPath = v;
-        } else if (arg == "--repro") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            reproPath = v;
-            reproExplicit = true;
-        } else if (arg == "--inject-fault") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            const auto fault = faultFromKey(v);
-            if (!fault) {
-                std::fprintf(stderr,
-                             "pifetch check: unknown fault '%s' "
-                             "(known: %s)\n", v,
-                             knownFaultNames().c_str());
-                return 2;
-            }
-            opts.inject = *fault;
-        } else if (arg == "--workload-file") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            std::string err;
-            auto spec = loadWorkloadSpecFile(v, &err);
-            if (!spec) {
-                std::fprintf(stderr, "pifetch check: %s\n",
-                             err.c_str());
-                return 2;
-            }
-            opts.spec =
-                std::make_shared<const WorkloadSpec>(std::move(*spec));
-            // Replay runs the repro's own recorded workload.
-            fuzzOnlyOption = arg;
-        } else if (arg == "--no-shrink") {
-            opts.shrink = false;
-            fuzzOnlyOption = arg;
-        } else if (arg == "--json") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            jsonPath = v;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else {
-            std::fprintf(stderr,
-                         "pifetch check: unknown option '%s'\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
-    if (!replayPath.empty() && haveReplaySeed) {
-        std::fprintf(stderr,
-                     "pifetch check: --replay and --replay-seed are "
-                     "mutually exclusive\n");
-        return 2;
-    }
-    if ((!replayPath.empty() || haveReplaySeed) &&
-        !fuzzOnlyOption.empty()) {
-        // Accepting-and-ignoring would let "--replay x --seeds 100"
-        // report success for a sweep that never ran.
-        std::fprintf(stderr,
-                     "pifetch check: %s has no effect in replay mode\n",
-                     fuzzOnlyOption.c_str());
-        return 2;
-    }
-    if (!replayPath.empty()) {
+    Output out;
+    std::string repro_path = "pifetch-check-repro.json";
+    std::string replay_path;
+    std::optional<std::uint64_t> replay_seed;
+    std::string faults;
+    for (FaultInjection f : allFaultInjections())
+        faults += (faults.empty() ? "" : "|") + faultKey(f);
+    const std::vector<Option> table = concat(
+        {{num("--seeds", "scenarios to fuzz (default 25)",
+              [&opts](std::uint64_t n) {
+                  opts.seeds = static_cast<unsigned>(n);
+              },
+              1, 100'000),
+          num("--seed", "first fuzz seed (default 1)",
+              [&opts](std::uint64_t n) { opts.baseSeed = n; }),
+          num("--replay-seed", "run exactly one fuzz seed",
+              [&replay_seed](std::uint64_t n) { replay_seed = n; }),
+          path("--replay", "FILE", "run the scenario in a repro JSON file",
+               replay_path),
+          path("--repro", "FILE",
+               "failing-scenario JSON (default pifetch-check-repro.json)",
+               repro_path),
+          num("--threads", "worker lanes over scenarios (0 = auto)",
+              [&opts](std::uint64_t n) {
+                  opts.threads = static_cast<unsigned>(n);
+              },
+              0, maxThreads),
+          flag("--no-shrink", "keep failing scenarios unshrunk",
+               [&opts] { opts.shrink = false; }),
+          text("--inject-fault", "K", "deliberate break: " + faults,
+               [&opts, &faults](const std::string &v) -> std::string {
+                   const auto fault = faultFromKey(v);
+                   if (!fault)
+                       return "unknown fault '" + v + "' (known: " +
+                              faults + ")";
+                   opts.inject = *fault;
+                   return "";
+               }),
+          text("--workload-file", "F",
+               "run every fuzzed scenario over this JSON spec",
+               [&opts](const std::string &v) {
+                   std::string err;
+                   if (auto spec = loadWorkloadSpecFile(v, &err))
+                       opts.spec = std::make_shared<const WorkloadSpec>(
+                           std::move(*spec));
+                   return err;
+               })},
+         out.rows(false)});
+    if (!cli.parse(table))
+        return cli.status;
+    const bool replaying = !replay_path.empty() || replay_seed;
+    if (!replay_path.empty() && replay_seed)
+        return cli.error("--replay and --replay-seed are mutually "
+                         "exclusive");
+    // Replay runs one scenario with its own workload and fan-out
+    // shape; accepting-and-ignoring a fuzz option would let
+    // "--replay x --seeds 100" report success for a sweep that never
+    // ran.
+    const auto *fuzz_only = cli.given({"--seeds", "--seed", "--threads",
+                                       "--workload-file", "--no-shrink"});
+    if (replaying && fuzz_only)
+        return cli.error(fuzz_only->first + " has no effect in replay mode");
+    if (!replay_path.empty()) {
         // Replaying must never clobber the repro being replayed (the
         // rewritten file would lose the shrunk scenario); only write
         // one when explicitly asked to, somewhere else.
-        if (!reproExplicit)
-            reproPath.clear();
-        else if (reproPath == replayPath) {
-            std::fprintf(stderr,
-                         "pifetch check: --repro would overwrite the "
-                         "--replay input; pick another path\n");
-            return 2;
-        }
+        if (!cli.given({"--repro"}))
+            repro_path.clear();
+        else if (repro_path == replay_path)
+            return cli.error("--repro would overwrite the --replay "
+                             "input; pick another path");
     }
 
     CheckReport report;
-    if (!replayPath.empty() || haveReplaySeed) {
+    if (replaying) {
         // Replay mode: exactly one scenario, from a repro file or a
         // fuzz seed.
-        Scenario scenario;
-        if (haveReplaySeed) {
-            scenario = scenarioFromSeed(replaySeed);
+        std::optional<Scenario> scenario;
+        if (replay_seed) {
+            scenario = scenarioFromSeed(*replay_seed);
         } else {
-            std::ifstream is(replayPath, std::ios::binary);
-            std::ostringstream text;
-            text << is.rdbuf();
-            if (!is) {
-                std::fprintf(stderr,
-                             "pifetch check: cannot read %s\n",
-                             replayPath.c_str());
-                return 2;
-            }
             std::string err;
-            const auto doc = parseJson(text.str(), &err);
-            if (!doc) {
-                std::fprintf(stderr,
-                             "pifetch check: %s: %s\n",
-                             replayPath.c_str(), err.c_str());
-                return 2;
-            }
-            const auto parsed = scenarioFromResult(*doc, &err);
-            if (!parsed) {
-                std::fprintf(stderr,
-                             "pifetch check: %s: %s\n",
-                             replayPath.c_str(), err.c_str());
-                return 2;
-            }
-            scenario = *parsed;
+            const auto doc = loadJsonFile(replay_path, &err);
+            if (doc && !(scenario = scenarioFromResult(*doc, &err)))
+                err = replay_path + ": " + err;
+            if (!scenario)
+                return cli.error(err);
         }
-        report.baseSeed = scenario.seed;
+        report.baseSeed = scenario->seed;
         report.seedsRun = 1;
         std::vector<CheckFailure> failures =
-            runScenario(scenario, opts.inject);
+            runScenario(*scenario, opts.inject);
         if (!failures.empty()) {
             ScenarioReport entry;
-            entry.scenario = scenario;
+            entry.scenario = *scenario;
             entry.failures = std::move(failures);
-            entry.shrunk = scenario;
+            entry.shrunk = *scenario;
             report.failures.push_back(std::move(entry));
         }
     } else {
@@ -1405,7 +1027,7 @@ cmdCheck(int argc, char **argv)
     }
 
     const ResultValue doc = toResult(report);
-    if (!quiet && jsonPath != "-") {
+    if (out.report()) {
         for (const ScenarioReport &r : report.failures)
             printCheckFailure(r);
         std::printf("check: %u scenario%s, %zu failed%s\n",
@@ -1417,27 +1039,26 @@ cmdCheck(int argc, char **argv)
     // before (and regardless of) the report, and an I/O error never
     // masks a violation verdict: "invariants broken" stays exit 1.
     bool io_failed = false;
-    if (!report.passed() && !reproPath.empty()) {
+    if (!report.passed() && !repro_path.empty()) {
         // Ship the first failure (shrunk when available) as a
         // self-contained repro for `pifetch check --replay`; same
         // schema as one entry of the report's "failures" array.
-        if (writeOutput(reproPath,
+        if (writeOutput(repro_path,
                         toJson(toResult(report.failures.front()), 2) +
                             "\n")) {
             // Keep a `--json -` stdout stream pure JSON: route the
             // notice to stderr there, like run/sweep keep their
             // reports off it.
-            if (!quiet) {
-                std::fprintf(jsonPath == "-" ? stderr : stdout,
+            if (!out.quiet) {
+                std::fprintf(out.json == "-" ? stderr : stdout,
                              "repro written to %s\n",
-                             reproPath.c_str());
+                             repro_path.c_str());
             }
         } else {
             io_failed = true;
         }
     }
-    if (!jsonPath.empty() &&
-        !writeOutput(jsonPath, toJson(doc, 2) + "\n"))
+    if (!out.write(doc))
         io_failed = true;
     // Exit contract (docs/cli.md): 2 is reserved for usage errors;
     // output-write failures report 1, matching run/sweep.
@@ -1445,252 +1066,124 @@ cmdCheck(int argc, char **argv)
 }
 
 int
-cmdQuery(int argc, char **argv)
+cmdQuery(Cli &cli)
 {
-    std::optional<WorkloadRef> workload;
-    std::string loadPath;
+    std::vector<WorkloadRef> resolved;
+    std::string load_path;
     PrefetcherKind kind = PrefetcherKind::Pif;
-    bool engineCycle = false;
+    bool engine_cycle = false;
     std::uint64_t warmup = 50'000;
     std::uint64_t measure = 200'000;
     SystemConfig cfg;
-    EventStoreOptions storeOpts;
-    std::string dumpPath;
+    EventStoreOptions store_opts;
+    std::string dump_path;
     bool streams = false;
     std::vector<Query> queries;
-    CliOptions out;  // only jsonPath/csvPath/quiet are used
-    /** Last record-only option seen, for the --load conflict check. */
-    std::string recordOnlyOption;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "pifetch query: %s needs a value\n",
-                             arg.c_str());
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        const auto badValue = [&](const char *v) {
-            std::fprintf(stderr,
-                         "pifetch query: bad value '%s' for %s\n",
-                         v ? v : "<missing>", arg.c_str());
-            return 2;
-        };
-        const auto oneSource = [&]() {
-            if (!workload && loadPath.empty())
-                return true;
-            std::fprintf(stderr,
-                         "pifetch query: multiple sources; pass "
-                         "exactly one of --workload, --workload-file "
-                         "or --load\n");
-            return false;
-        };
-
-        if (arg == "--workload") {
-            const char *v = next();
-            if (!v || !oneSource())
-                return 2;
-            const auto w = resolveWorkload(v, "pifetch query");
-            if (!w)
-                return 2;
-            workload = *w;
-        } else if (arg == "--workload-file") {
-            const char *v = next();
-            if (!v || !oneSource())
-                return 2;
-            const auto w = loadWorkloadFile(v, "pifetch query");
-            if (!w)
-                return 2;
-            workload = *w;
-        } else if (arg == "--load") {
-            const char *v = next();
-            if (!v || !oneSource())
-                return 2;
-            loadPath = v;
-        } else if (arg == "--prefetcher") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            const auto k = prefetcherFromKey(v);
-            if (!k) {
-                std::string known;
-                for (PrefetcherKind p :
-                     {PrefetcherKind::None, PrefetcherKind::NextLine,
-                      PrefetcherKind::Tifs,
-                      PrefetcherKind::Discontinuity,
-                      PrefetcherKind::Pif, PrefetcherKind::Perfect}) {
-                    if (!known.empty())
-                        known += ", ";
-                    known += prefetcherKey(p);
-                }
-                std::fprintf(stderr,
-                             "pifetch query: unknown prefetcher '%s' "
-                             "(known: %s)\n", v, known.c_str());
-                return 2;
-            }
-            kind = *k;
-            recordOnlyOption = arg;
-        } else if (arg == "--engine") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            if (std::strcmp(v, "trace") == 0)
-                engineCycle = false;
-            else if (std::strcmp(v, "cycle") == 0)
-                engineCycle = true;
-            else
-                return badValue(v);
-            recordOnlyOption = arg;
-        } else if (arg == "--warmup" || arg == "--measure" ||
-                   arg == "--seed" || arg == "--window" ||
-                   arg == "--max-slices") {
-            const char *v = next();
-            std::uint64_t n = 0;
-            if (!v || !parseU64Arg(v, n))
-                return badValue(v);
-            if (arg == "--warmup") {
-                warmup = n;
-            } else if (arg == "--measure") {
-                measure = n;
-            } else if (arg == "--seed") {
-                cfg.seed = n;
-            } else if (arg == "--window") {
-                if (n == 0) {
-                    // 0 is the "sampling disabled" encoding in
-                    // EventStoreOptions; as a CLI request it would
-                    // silently empty the counters table.
-                    std::fprintf(stderr,
-                                 "pifetch query: --window must be "
-                                 ">= 1\n");
-                    return 2;
-                }
-                storeOpts.counterWindow = n;
-            } else {
-                storeOpts.maxSlices = n;
-            }
-            recordOnlyOption = arg;
-        } else if (arg == "--set") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            const char *eq = std::strchr(v, '=');
-            if (!eq ||
-                !applyConfigOverride(cfg, std::string(v, eq), eq + 1)) {
-                std::fprintf(stderr,
-                             "pifetch query: bad override '%s' (see "
-                             "`pifetch list` for keys)\n", v);
-                return 2;
-            }
-            recordOnlyOption = arg;
-        } else if (arg == "--retires") {
-            storeOpts.recordRetires = true;
-            recordOnlyOption = arg;
-        } else if (arg == "--dump") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            dumpPath = v;
-            recordOnlyOption = arg;
-        } else if (arg == "--streams") {
-            streams = true;
-        } else if (arg == "--query") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            std::string err;
-            const auto q = parseQuery(v, &err);
-            if (!q) {
-                std::fprintf(stderr, "pifetch query: %s\n",
-                             err.c_str());
-                return 2;
-            }
-            queries.push_back(*q);
-        } else if (arg == "--json") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            out.jsonPath = v;
-        } else if (arg == "--csv") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            out.csvPath = v;
-        } else if (arg == "--quiet") {
-            out.quiet = true;
-        } else {
-            std::fprintf(stderr,
-                         "pifetch query: unknown option '%s'\n",
-                         arg.c_str());
-            return 2;
-        }
+    Output out;
+    std::string kinds;
+    for (PrefetcherKind k :
+         {PrefetcherKind::None, PrefetcherKind::NextLine,
+          PrefetcherKind::Tifs, PrefetcherKind::Discontinuity,
+          PrefetcherKind::Pif, PrefetcherKind::Perfect})
+        kinds += (kinds.empty() ? "" : "|") + prefetcherKey(k);
+    const std::vector<Option> table = concat(
+        {workloadRows(resolved),
+         {path("--load", "FILE",
+               "query a saved event dump instead of recording", load_path),
+          text("--prefetcher", "K", kinds + " (default pif)",
+               [&kind, &kinds](const std::string &v) -> std::string {
+                   const auto k = prefetcherFromKey(v);
+                   if (!k)
+                       return "unknown prefetcher '" + v + "' (known: " +
+                              kinds + ")";
+                   kind = *k;
+                   return "";
+               }),
+          text("--engine", "E", "trace|cycle (default trace)",
+               [&engine_cycle](const std::string &v) -> std::string {
+                   if (v != "trace" && v != "cycle")
+                       return "--engine must be trace or cycle";
+                   engine_cycle = v == "cycle";
+                   return "";
+               }),
+          num("--warmup", "warmup instructions (default 50000)",
+              [&warmup](std::uint64_t n) { warmup = n; }),
+          num("--measure", "recorded instructions (default 200000)",
+              [&measure](std::uint64_t n) { measure = n; })},
+         configRows(cfg),
+         // 0 is EventStoreOptions' "sampling disabled"; as a request it
+         // would silently empty the counters table.
+         {num("--window", "counter-sample stride in retired instructions",
+              [&store_opts](std::uint64_t n) {
+                  store_opts.counterWindow = n;
+              },
+              1),
+          flag("--retires", "also record one slice per retired instruction",
+               [&store_opts] { store_opts.recordRetires = true; }),
+          num("--max-slices", "slice-row cap; excess rows are counted",
+              [&store_opts](std::uint64_t n) { store_opts.maxSlices = n; }),
+          path("--dump", "FILE|-",
+               "write the store as a reloadable pifetch-events-v1 dump",
+               dump_path, Kind::Out),
+          text("--query", "Q",
+               "run one query, docs/query.md grammar (repeatable)",
+               [&queries](const std::string &v) {
+                   std::string err;
+                   if (const auto q = parseQuery(v, &err))
+                       queries.push_back(*q);
+                   return err;
+               }),
+          flag("--streams", "emit the Fig. 2-style miss-stream table",
+               [&streams] { streams = true; })},
+         out.rows()});
+    if (!cli.parse(table))
+        return cli.status;
+    int sources = 0;
+    for (const auto &entry : cli.seen) {
+        sources += entry.first == "--workload" ||
+                   entry.first == "--workload-file" ||
+                   entry.first == "--load";
     }
-    if (!workload && loadPath.empty()) {
-        std::fprintf(stderr,
-                     "pifetch query: need a source: --workload, "
-                     "--workload-file or --load\n");
-        return 2;
-    }
-    if (!loadPath.empty() && !recordOnlyOption.empty()) {
-        // A dump is immutable data: accepting-and-ignoring run knobs
-        // would report results for a run that never happened.
-        std::fprintf(stderr,
-                     "pifetch query: %s has no effect with --load\n",
-                     recordOnlyOption.c_str());
-        return 2;
-    }
-    if (queries.empty() && !streams && dumpPath.empty()) {
-        std::fprintf(stderr,
-                     "pifetch query: nothing to do; pass --query, "
-                     "--streams and/or --dump\n");
-        return 2;
-    }
-    int dashes = dumpPath == "-" ? 1 : 0;
-    dashes += out.jsonPath == "-" ? 1 : 0;
-    dashes += out.csvPath == "-" ? 1 : 0;
-    if (dashes > 1) {
-        std::fprintf(stderr,
-                     "pifetch query: only one of --dump/--json/--csv "
-                     "may write to stdout\n");
-        return 2;
-    }
-    if (dumpPath == "-")
+    if (sources == 0)
+        return cli.error("need a source: --workload, --workload-file or "
+                         "--load");
+    if (sources > 1)
+        return cli.error("multiple sources; pass exactly one of "
+                         "--workload, --workload-file or --load");
+    // A dump is immutable data: accepting-and-ignoring run knobs would
+    // report results for a run that never happened.
+    const auto *record_only = cli.given(
+        {"--prefetcher", "--engine", "--warmup", "--measure", "--seed",
+         "--set", "--window", "--max-slices", "--retires", "--dump"});
+    if (!load_path.empty() && record_only)
+        return cli.error(record_only->first + " has no effect with --load");
+    if (queries.empty() && !streams && dump_path.empty())
+        return cli.error("nothing to do; pass --query, --streams and/or "
+                         "--dump");
+    if (const auto bad = validateSystemConfig(cfg))
+        return cli.error(*bad);
+    if (dump_path == "-")
         out.quiet = true;  // keep the stdout dump pure JSON
 
-    EventStore store(storeOpts);
+    EventStore store(store_opts);
     ResultValue meta = ResultValue::object();
-    if (!loadPath.empty()) {
-        std::ifstream is(loadPath, std::ios::binary);
-        std::ostringstream text;
-        text << is.rdbuf();
-        if (!is) {
-            std::fprintf(stderr, "pifetch query: cannot read %s\n",
-                         loadPath.c_str());
-            return 2;
-        }
+    if (!load_path.empty()) {
         std::string err;
-        const auto doc = parseJson(text.str(), &err);
-        if (!doc) {
-            std::fprintf(stderr, "pifetch query: %s: %s\n",
-                         loadPath.c_str(), err.c_str());
-            return 2;
-        }
-        auto loaded = eventStoreFromResult(*doc, &err);
-        if (!loaded) {
-            std::fprintf(stderr, "pifetch query: %s: %s\n",
-                         loadPath.c_str(), err.c_str());
-            return 2;
-        }
+        const auto doc = loadJsonFile(load_path, &err);
+        std::optional<EventStore> loaded;
+        if (doc && !(loaded = eventStoreFromResult(*doc, &err)))
+            err = load_path + ": " + err;
+        if (!loaded)
+            return cli.error(err);
         store = std::move(*loaded);
-        meta.set("load", loadPath);
+        meta.set("load", load_path);
     } else {
-        const Program prog = workload->buildProgram();
-        const ExecutorConfig exec = workload->executorConfig();
+        const WorkloadRef &w = resolved.front();
+        const Program prog = w.buildProgram();
+        const ExecutorConfig exec = w.executorConfig();
         ObserverConfig obs;
         obs.events = &store;
-        if (engineCycle) {
+        if (engine_cycle) {
             CycleEngine engine(cfg, prog, exec, kind);
             engine.attachObservers(obs);
             engine.run(warmup, measure);
@@ -1700,9 +1193,9 @@ cmdQuery(int argc, char **argv)
             engine.attachObservers(obs);
             engine.run(warmup, measure);
         }
-        meta.set("workload", workload->key());
+        meta.set("workload", w.key());
         meta.set("prefetcher", prefetcherKey(kind));
-        meta.set("engine", engineCycle ? "cycle" : "trace");
+        meta.set("engine", engine_cycle ? "cycle" : "trace");
         meta.set("warmup", warmup);
         meta.set("measure", measure);
         meta.set("seed", cfg.seed);
@@ -1719,12 +1212,10 @@ cmdQuery(int argc, char **argv)
     ResultValue tables = ResultValue::array();
     for (const Query &q : queries) {
         std::string err;
-        auto table = runQuery(store, q, &err);
-        if (!table) {
-            std::fprintf(stderr, "pifetch query: %s\n", err.c_str());
-            return 2;
-        }
-        tables.push(std::move(*table));
+        auto table_doc = runQuery(store, q, &err);
+        if (!table_doc)
+            return cli.error(err);
+        tables.push(std::move(*table_doc));
     }
     if (streams)
         tables.push(missStreamLengthTable(store));
@@ -1736,8 +1227,8 @@ cmdQuery(int argc, char **argv)
     doc.set("tables", std::move(tables));
 
     bool ok = true;
-    if (!dumpPath.empty() &&
-        !writeOutput(dumpPath, toJson(toResult(store), 2) + "\n"))
+    if (!dump_path.empty() &&
+        !writeOutput(dump_path, toJson(toResult(store), 2) + "\n"))
         ok = false;
     if (!emitOutputs(out, doc))
         ok = false;
@@ -1745,64 +1236,41 @@ cmdQuery(int argc, char **argv)
 }
 
 int
-cmdLint(int argc, char **argv)
+cmdLint(Cli &cli)
 {
     lint::LintOptions opts;
-    std::string jsonPath;
-    bool quiet = false;
-    bool listRules = false;
-    bool selfTest = false;
+    Output out;
+    bool list_rules = false;
+    bool self_test = false;
+    const std::vector<Option> table = concat(
+        {{text("[paths...]", "",
+               "repo-relative path prefixes (default src bench examples "
+               "tests)",
+               [&opts](const std::string &v) {
+                   opts.paths.push_back(v);
+                   return std::string();
+               },
+               Kind::Args),
+          text("--rule", "ID", "run only rule ID (repeatable)",
+               [&opts](const std::string &v) -> std::string {
+                   if (!lint::findRule(v))
+                       return "unknown rule '" + v +
+                              "' (try `pifetch lint --list-rules`)";
+                   opts.rules.push_back(v);
+                   return "";
+               }),
+          path("--root", "DIR",
+               "repository root (default: this build's checkout)",
+               opts.root),
+          flag("--list-rules", "print the rule catalog and exit",
+               [&list_rules] { list_rules = true; }),
+          flag("--self-test", "replay every rule's fixture and exit",
+               [&self_test] { self_test = true; })},
+         out.rows(false)});
+    if (!cli.parse(table))
+        return cli.status;
 
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "pifetch lint: %s needs a value\n",
-                             arg.c_str());
-                return nullptr;
-            }
-            return argv[++i];
-        };
-
-        if (arg == "--rule") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            if (!lint::findRule(v)) {
-                std::fprintf(stderr,
-                             "pifetch lint: unknown rule '%s' "
-                             "(try `pifetch lint --list-rules`)\n", v);
-                return 2;
-            }
-            opts.rules.push_back(v);
-        } else if (arg == "--root") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            opts.root = v;
-        } else if (arg == "--json") {
-            const char *v = next();
-            if (!v)
-                return 2;
-            jsonPath = v;
-        } else if (arg == "--list-rules") {
-            listRules = true;
-        } else if (arg == "--self-test") {
-            selfTest = true;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr,
-                         "pifetch lint: unknown option '%s'\n",
-                         arg.c_str());
-            return 2;
-        } else {
-            opts.paths.push_back(arg);
-        }
-    }
-
-    if (listRules) {
+    if (list_rules) {
         std::printf("%-24s %-12s %-8s %s\n", "rule", "class",
                     "severity", "summary");
         for (const lint::Rule &r : lint::ruleCatalog())
@@ -1813,13 +1281,12 @@ cmdLint(int argc, char **argv)
         return 0;
     }
 
-    if (selfTest) {
+    if (self_test) {
         const std::vector<std::string> failures =
             lint::runRuleSelfTest();
         for (const std::string &f : failures)
-            std::fprintf(stderr, "pifetch lint: self-test: %s\n",
-                         f.c_str());
-        if (!quiet) {
+            cli.error("self-test: " + f);
+        if (!out.quiet) {
             std::printf("lint self-test: %zu rules, %zu failure%s\n",
                         lint::ruleCatalog().size(), failures.size(),
                         failures.size() == 1 ? "" : "s");
@@ -1829,14 +1296,12 @@ cmdLint(int argc, char **argv)
 
     std::string err;
     const lint::LintReport report = lint::runLint(opts, &err);
-    if (!err.empty()) {
-        std::fprintf(stderr, "pifetch lint: %s\n", err.c_str());
-        return 2;
-    }
+    if (!err.empty())
+        return cli.error(err);
 
     const std::string root =
         opts.root.empty() ? lint::defaultRoot() : opts.root;
-    if (!quiet && jsonPath != "-") {
+    if (out.report()) {
         for (const lint::Finding &f : report.findings) {
             if (f.suppressed)
                 continue;
@@ -1855,11 +1320,74 @@ cmdLint(int argc, char **argv)
                     report.warnings() == 1 ? "" : "s",
                     report.suppressedCount());
     }
-    if (!jsonPath.empty() &&
-        !writeOutput(jsonPath,
-                     toJson(lint::toResult(report, root), 2) + "\n"))
+    if (!out.write(lint::toResult(report, root)))
         return 1;
     return report.clean() ? 0 : 1;
+}
+
+/** One `pifetch` verb. */
+struct Verb
+{
+    const char *name;
+    const char *summary;
+    int (*run)(Cli &);
+};
+
+const std::vector<Verb> &
+verbs()
+{
+    static const std::vector<Verb> table = {
+        {"list", "enumerate experiments, workloads and --set keys",
+         cmdList},
+        {"run", "run one experiment: human report plus optional JSON/CSV",
+         cmdRun},
+        {"sweep",
+         "run the cartesian grid of every --param over one experiment",
+         cmdSweep},
+        {"trace pack", "convert a v1 (or v2) trace to compressed v2",
+         cmdTraceConvert},
+        {"trace unpack", "convert a trace back to fixed-record v1",
+         cmdTraceConvert},
+        {"trace info", "header and chunk-index summary of a trace",
+         cmdTraceInfo},
+        {"golden", "emit canonical golden-fixture JSON (scripts/regold.sh)",
+         cmdGolden},
+        {"perf", "time the hot kernels (docs/performance.md)", cmdPerf},
+        {"check",
+         "fuzz scenarios through the oracle battery (docs/validation.md)",
+         cmdCheck},
+        {"query",
+         "record one run into the event store and query it "
+         "(docs/query.md)",
+         cmdQuery},
+        {"lint", "project static-analysis rules (docs/linting.md)",
+         cmdLint},
+    };
+    return table;
+}
+
+/** Every verb's option table, rendered from the tables themselves. */
+int
+usage(std::FILE *out)
+{
+    std::fputs("usage: pifetch <command> [options]\n", out);
+    for (const Verb &v : verbs()) {
+        Cli cli{v.name, v.summary, {}, out};
+        v.run(cli);
+    }
+    std::fputs("\npifetch help\n    this message\n\n"
+               "config keys (--set K=V, --param K=V1,V2):", out);
+    std::size_t column = 80;
+    for (const std::string &key : configOverrideKeys()) {
+        if (column + key.size() > 72) {
+            std::fputs("\n ", out);
+            column = 1;
+        }
+        std::fprintf(out, " %s", key.c_str());
+        column += key.size() + 1;
+    }
+    std::fputs("\n", out);
+    return out == stderr ? 2 : 0;
 }
 
 } // namespace
@@ -1867,30 +1395,21 @@ cmdLint(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    if (args.empty())
         return usage(stderr);
-    const std::string cmd = argv[1];
-    if (cmd == "list")
-        return cmdList();
-    if (cmd == "run")
-        return cmdRun(argc, argv);
-    if (cmd == "sweep")
-        return cmdSweep(argc, argv);
-    if (cmd == "trace")
-        return cmdTrace(argc, argv);
-    if (cmd == "golden")
-        return cmdGolden(argc, argv);
-    if (cmd == "perf")
-        return cmdPerf(argc, argv);
-    if (cmd == "check")
-        return cmdCheck(argc, argv);
-    if (cmd == "query")
-        return cmdQuery(argc, argv);
-    if (cmd == "lint")
-        return cmdLint(argc, argv);
-    if (cmd == "help" || cmd == "--help" || cmd == "-h")
+    if (args[0] == "help" || args[0] == "--help" || args[0] == "-h")
         return usage(stdout);
-    std::fprintf(stderr, "pifetch: unknown command '%s'\n",
-                 cmd.c_str());
+    // `trace` verbs are two words.
+    const std::size_t words = args[0] == "trace" && args.size() > 1 ? 2 : 1;
+    const std::string name =
+        words == 2 ? args[0] + " " + args[1] : args[0];
+    for (const Verb &v : verbs()) {
+        if (name == v.name) {
+            Cli cli{name, v.summary, {args.begin() + words, args.end()}};
+            return v.run(cli);
+        }
+    }
+    std::fprintf(stderr, "pifetch: unknown command '%s'\n", name.c_str());
     return usage(stderr);
 }

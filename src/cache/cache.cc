@@ -11,9 +11,23 @@
 
 namespace pifetch {
 
+namespace {
+
+/** cfg.sets(), once the divisor it computes with is known nonzero. */
+std::uint64_t
+checkedSets(const CacheConfig &cfg)
+{
+    if (cfg.assoc == 0 || cfg.blockBytes == 0)
+        fatalError("cache '" + cfg.name + "': associativity and block "
+                   "size must be >= 1");
+    return cfg.sets();
+}
+
+} // namespace
+
 Cache::Cache(const CacheConfig &cfg, ReplacementKind repl,
              std::uint64_t seed)
-    : sets_(cfg.sets()),
+    : sets_(checkedSets(cfg)),
       ways_(cfg.assoc),
       stats_(cfg.name),
       hits_(stats_, "hits", "demand hits"),
@@ -28,8 +42,6 @@ Cache::Cache(const CacheConfig &cfg, ReplacementKind repl,
     if (sets_ == 0 || (sets_ & (sets_ - 1)) != 0)
         fatalError("cache '" + cfg.name + "': set count must be a power "
                    "of two (size/assoc/block mismatch)");
-    if (ways_ == 0)
-        fatalError("cache '" + cfg.name + "': associativity must be >= 1");
     setShift_ = static_cast<unsigned>(bits::countrZero(sets_));
     tags_.assign(sets_ * ways_, invalidAddr);
     valid_.assign(sets_ * ways_, 0);

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 
 namespace pifetch {
@@ -593,6 +594,23 @@ parseJson(const std::string &text, std::string *err)
     if (err)
         err->clear();
     return JsonParser(text, err).parse();
+}
+
+std::optional<ResultValue>
+loadJsonFile(const std::string &path, std::string *err)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream text;
+    text << is.rdbuf();
+    if (!is) {
+        if (err)
+            *err = "cannot read " + path;
+        return std::nullopt;
+    }
+    auto doc = parseJson(text.str(), err);
+    if (!doc && err)
+        *err = path + ": " + *err;
+    return doc;
 }
 
 // ----------------------------------------------------------- CSV / text

@@ -154,6 +154,13 @@ std::string toJson(const ResultValue &v, unsigned indent = 2);
 std::optional<ResultValue> parseJson(const std::string &text,
                                      std::string *err = nullptr);
 
+/**
+ * Read and parse the JSON file @p path. On failure @p err is
+ * "cannot read <path>" or "<path>: <parse error>".
+ */
+std::optional<ResultValue> loadJsonFile(const std::string &path,
+                                        std::string *err = nullptr);
+
 /** RFC-4180 CSV field escaping. */
 std::string csvEscape(const std::string &field);
 

@@ -14,7 +14,8 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <type_traits>
+#include <limits>
+#include <variant>
 
 #include "common/parallel.hh"
 #include "common/types.hh"
@@ -865,30 +866,83 @@ parseU64Value(const std::string &s, std::uint64_t &out)
 
 namespace {
 
-bool
-parseBool(const std::string &s, bool &out)
+/** A settable SystemConfig field; its type fixes how values parse. */
+using ConfigField =
+    std::variant<unsigned *, std::uint64_t *, bool *, double *>;
+
+/** One `--set` key: the field path it names and how to reach it. */
+struct ConfigKey
 {
-    if (s == "1" || s == "true" || s == "on") {
-        out = true;
-        return true;
-    }
-    if (s == "0" || s == "false" || s == "off") {
-        out = false;
-        return true;
-    }
-    return false;
+    const char *key;
+    ConfigField (*field)(SystemConfig &);
+};
+
+// The key is the field's own path, so the two cannot drift apart.
+#define CONFIG_KEY(path)                                              \
+    ConfigKey { #path, [](SystemConfig &c) -> ConfigField {           \
+        return &c.path; } }
+
+/** Every override key, in `pifetch list` order. */
+const std::vector<ConfigKey> &
+configKeyTable()
+{
+    static const std::vector<ConfigKey> table = {
+        CONFIG_KEY(seed),
+        CONFIG_KEY(threads),
+        CONFIG_KEY(numCores),
+        CONFIG_KEY(l1i.sizeBytes),
+        CONFIG_KEY(l1i.assoc),
+        CONFIG_KEY(l1i.mshrs),
+        CONFIG_KEY(memory.memLatency),
+        CONFIG_KEY(memory.l2HitLatency),
+        CONFIG_KEY(core.robEntries),
+        CONFIG_KEY(core.dispatchWidth),
+        CONFIG_KEY(core.retireWidth),
+        CONFIG_KEY(pif.blocksBefore),
+        CONFIG_KEY(pif.blocksAfter),
+        CONFIG_KEY(pif.temporalEntries),
+        CONFIG_KEY(pif.historyRegions),
+        CONFIG_KEY(pif.indexEntries),
+        CONFIG_KEY(pif.numSabs),
+        CONFIG_KEY(pif.sabWindowRegions),
+        CONFIG_KEY(pif.separateTrapLevels),
+        CONFIG_KEY(tifs.historyEntries),
+        CONFIG_KEY(tifs.sabWindowBlocks),
+        CONFIG_KEY(nextLine.degree),
+        CONFIG_KEY(trap.perInstrProbability),
+        CONFIG_KEY(trap.handlerCount),
+    };
+    return table;
 }
 
+#undef CONFIG_KEY
+
+/** Parse @p value into @p f; false when it does not parse or fit. */
 bool
-parseDouble(const std::string &s, double &out)
+setField(ConfigField f, const std::string &value)
 {
-    if (s.empty())
-        return false;
+    std::uint64_t u = 0;
+    if (auto *p = std::get_if<unsigned *>(&f)) {
+        if (!parseU64Value(value, u) ||
+            u > std::numeric_limits<unsigned>::max())
+            return false;
+        **p = static_cast<unsigned>(u);
+        return true;
+    }
+    if (auto *p = std::get_if<std::uint64_t *>(&f))
+        return parseU64Value(value, **p);
+    if (auto *p = std::get_if<bool *>(&f)) {
+        const bool on = value == "1" || value == "true" || value == "on";
+        if (!on && value != "0" && value != "false" && value != "off")
+            return false;
+        **p = on;
+        return true;
+    }
     char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (!end || *end != '\0')
+    const double d = std::strtod(value.c_str(), &end);
+    if (value.empty() || *end != '\0')
         return false;
-    out = v;
+    *std::get<double *>(f) = d;
     return true;
 }
 
@@ -896,78 +950,31 @@ parseDouble(const std::string &s, double &out)
 
 bool
 applyConfigOverride(SystemConfig &cfg, const std::string &key,
-                    const std::string &value)
+                    const std::string &value, std::string *err)
 {
-    std::uint64_t u = 0;
-    bool b = false;
-    double d = 0.0;
-
-    const auto setU = [&](auto &field) {
-        if (!parseU64Value(value, u))
-            return false;
-        field = static_cast<std::decay_t<decltype(field)>>(u);
-        return true;
-    };
-
-    if (key == "seed") return setU(cfg.seed);
-    if (key == "threads") return setU(cfg.threads);
-    if (key == "numCores") return setU(cfg.numCores);
-    if (key == "l1i.sizeBytes") return setU(cfg.l1i.sizeBytes);
-    if (key == "l1i.assoc") return setU(cfg.l1i.assoc);
-    if (key == "l1i.mshrs") return setU(cfg.l1i.mshrs);
-    if (key == "memory.memLatency") return setU(cfg.memory.memLatency);
-    if (key == "memory.l2HitLatency")
-        return setU(cfg.memory.l2HitLatency);
-    if (key == "core.robEntries") return setU(cfg.core.robEntries);
-    if (key == "core.dispatchWidth")
-        return setU(cfg.core.dispatchWidth);
-    if (key == "core.retireWidth") return setU(cfg.core.retireWidth);
-    if (key == "pif.blocksBefore") return setU(cfg.pif.blocksBefore);
-    if (key == "pif.blocksAfter") return setU(cfg.pif.blocksAfter);
-    if (key == "pif.temporalEntries")
-        return setU(cfg.pif.temporalEntries);
-    if (key == "pif.historyRegions")
-        return setU(cfg.pif.historyRegions);
-    if (key == "pif.indexEntries") return setU(cfg.pif.indexEntries);
-    if (key == "pif.numSabs") return setU(cfg.pif.numSabs);
-    if (key == "pif.sabWindowRegions")
-        return setU(cfg.pif.sabWindowRegions);
-    if (key == "pif.separateTrapLevels") {
-        if (!parseBool(value, b))
-            return false;
-        cfg.pif.separateTrapLevels = b;
-        return true;
+    for (const ConfigKey &k : configKeyTable()) {
+        if (key != k.key)
+            continue;
+        if (setField(k.field(cfg), value))
+            return true;
+        if (err)
+            *err = "bad value '" + value + "' for " + key;
+        return false;
     }
-    if (key == "tifs.historyEntries")
-        return setU(cfg.tifs.historyEntries);
-    if (key == "tifs.sabWindowBlocks")
-        return setU(cfg.tifs.sabWindowBlocks);
-    if (key == "nextLine.degree") return setU(cfg.nextLine.degree);
-    if (key == "trap.perInstrProbability") {
-        if (!parseDouble(value, d))
-            return false;
-        cfg.trap.perInstrProbability = d;
-        return true;
-    }
-    if (key == "trap.handlerCount") return setU(cfg.trap.handlerCount);
+    if (err)
+        *err = "unknown config key '" + key + "' (see `pifetch list`)";
     return false;
 }
 
 const std::vector<std::string> &
 configOverrideKeys()
 {
-    static const std::vector<std::string> keys = {
-        "seed", "threads", "numCores",
-        "l1i.sizeBytes", "l1i.assoc", "l1i.mshrs",
-        "memory.memLatency", "memory.l2HitLatency",
-        "core.robEntries", "core.dispatchWidth", "core.retireWidth",
-        "pif.blocksBefore", "pif.blocksAfter", "pif.temporalEntries",
-        "pif.historyRegions", "pif.indexEntries", "pif.numSabs",
-        "pif.sabWindowRegions", "pif.separateTrapLevels",
-        "tifs.historyEntries", "tifs.sabWindowBlocks",
-        "nextLine.degree",
-        "trap.perInstrProbability", "trap.handlerCount",
-    };
+    static const std::vector<std::string> keys = [] {
+        std::vector<std::string> out;
+        for (const ConfigKey &k : configKeyTable())
+            out.push_back(k.key);
+        return out;
+    }();
     return keys;
 }
 

@@ -96,11 +96,14 @@ ResultValue configToResult(const SystemConfig &cfg);
 
 /**
  * Apply a `key=value` configuration override ("pif.historyRegions",
- * "nextLine.degree", "seed", ...). Returns false on an unknown key or
- * unparsable value. configOverrideKeys() lists the supported keys.
+ * "nextLine.degree", "seed", ...). Returns false, with @p err naming
+ * the key, on an unknown key or a value that does not parse or does
+ * not fit the field. configOverrideKeys() lists the supported keys.
+ * Range checks are validateSystemConfig's job.
  */
 bool applyConfigOverride(SystemConfig &cfg, const std::string &key,
-                         const std::string &value);
+                         const std::string &value,
+                         std::string *err = nullptr);
 
 /** The override keys applyConfigOverride understands. */
 const std::vector<std::string> &configOverrideKeys();

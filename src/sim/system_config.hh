@@ -1,11 +1,13 @@
 /**
  * @file
- * Prefetcher selection and construction for the engines.
+ * Prefetcher selection and construction for the engines, and the
+ * range check every user-supplied SystemConfig passes first.
  */
 
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/config.hh"
@@ -38,5 +40,15 @@ std::string prefetcherName(PrefetcherKind kind);
 std::unique_ptr<Prefetcher> makePrefetcher(PrefetcherKind kind,
                                            const SystemConfig &cfg,
                                            bool unbounded = false);
+
+/**
+ * Range-check the SystemConfig fields a user can set: `--set` /
+ * `--param` keys, sweep manifests and `pifetch check` scenarios.
+ * Returns the first violation, naming its key. The upper caps sit
+ * orders of magnitude above any paper configuration, so a hostile or
+ * corrupted value fails with a message instead of dividing by zero,
+ * indexing an empty table or exhausting memory.
+ */
+std::optional<std::string> validateSystemConfig(const SystemConfig &cfg);
 
 } // namespace pifetch

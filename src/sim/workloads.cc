@@ -95,4 +95,32 @@ workloadRefFromSpec(WorkloadSpec spec)
         lowerWorkloadSpec(std::move(spec))));
 }
 
+std::optional<WorkloadRef>
+resolveWorkload(const std::string &value, bool is_file, std::string *err)
+{
+    std::string path = value;
+    if (!is_file) {
+        if (const std::optional<ServerWorkload> w = workloadFromName(value))
+            return WorkloadRef(*w);
+        const auto entry = findZooEntry(value);
+        if (!entry) {
+            if (err) {
+                std::string known;
+                for (ServerWorkload w : allServerWorkloads())
+                    known += workloadKey(w) + ", ";
+                for (const WorkloadZooEntry &e : workloadZoo())
+                    known += e.key + ", ";
+                *err = "unknown workload '" + value + "' (known: " +
+                       known.substr(0, known.size() - 2) + ")";
+            }
+            return std::nullopt;
+        }
+        path = entry->path;
+    }
+    auto spec = loadWorkloadSpecFile(path, err);
+    if (!spec)
+        return std::nullopt;
+    return workloadRefFromSpec(std::move(*spec));
+}
+
 } // namespace pifetch

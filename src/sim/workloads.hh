@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "trace/executor.hh"
@@ -110,5 +111,15 @@ class WorkloadRef
 
 /** Wrap a validated spec as a WorkloadRef (shared, immutable). */
 WorkloadRef workloadRefFromSpec(WorkloadSpec spec);
+
+/**
+ * Resolve a workload as `--workload`/`--workload-file` name it: a
+ * spec file path when @p is_file, else a server preset (db2, ..., or
+ * 0..5) or a workload-zoo key. Returns nullopt and sets @p err (an
+ * unknown name lists every known one) on failure.
+ */
+std::optional<WorkloadRef> resolveWorkload(const std::string &value,
+                                           bool is_file,
+                                           std::string *err = nullptr);
 
 } // namespace pifetch

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
+
+#include "sim/registry.hh"
+#include "sim/system_config.hh"
 
 namespace pifetch {
 
@@ -88,6 +90,39 @@ sweepShardPoints(const SweepManifest &m, unsigned k)
     for (std::uint64_t p = k; p < total; p += m.shards)
         points.push_back(p);
     return points;
+}
+
+std::optional<std::string>
+validateSweepConfig(const SweepManifest &m)
+{
+    std::string err;
+    SystemConfig base;
+    for (const auto &[key, value] : m.overrides) {
+        if (!applyConfigOverride(base, key, value, &err))
+            return err;
+    }
+    if (auto bad = validateSystemConfig(base))
+        return bad;
+    for (const SweepAxis &axis : m.axes) {
+        // Every point runs with threads pinned to 1; a threads axis
+        // would relabel identical runs.
+        if (axis.key == "threads")
+            return std::string("'threads' is not sweepable (results are "
+                               "thread-invariant); use --threads for "
+                               "the fan-out width");
+    }
+    for (std::uint64_t p = 0; p < sweepPointCount(m); ++p) {
+        SystemConfig point = base;
+        std::string where;
+        for (const auto &[key, value] : sweepPointParams(m, p)) {
+            if (!applyConfigOverride(point, key, value, &err))
+                return err;
+            where += (where.empty() ? "" : ", ") + key + "=" + value;
+        }
+        if (auto bad = validateSystemConfig(point))
+            return *bad + " (at " + where + ")";
+    }
+    return std::nullopt;
 }
 
 ResultValue
@@ -228,6 +263,8 @@ manifestFromResult(const ResultValue &doc, std::string *err)
     if ((doc.find("warmup") && !m.warmup) ||
         (doc.find("measure") && !m.measure))
         return bad("warmup/measure must be non-negative integers");
+    if (const auto invalid = validateSweepConfig(m))
+        return bad(*invalid);
     return m;
 }
 
@@ -252,19 +289,9 @@ saveManifest(const SweepManifest &m, const std::string &path,
 std::optional<SweepManifest>
 loadManifest(const std::string &path, std::string *err)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        setErr(err, "cannot open " + path);
+    const auto doc = loadJsonFile(path, err);
+    if (!doc)
         return std::nullopt;
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    std::string parse_err;
-    const auto doc = parseJson(buf.str(), &parse_err);
-    if (!doc) {
-        setErr(err, path + ": " + parse_err);
-        return std::nullopt;
-    }
     auto m = manifestFromResult(*doc, err);
     if (!m && err)
         *err = path + ": " + *err;

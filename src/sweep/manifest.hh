@@ -85,13 +85,22 @@ unsigned sweepPointShard(std::uint64_t p, unsigned shards);
 std::vector<std::uint64_t> sweepShardPoints(const SweepManifest &m,
                                             unsigned k);
 
+/**
+ * Check the manifest's configuration: every override and axis key is
+ * known, every value parses and fits its field, no axis varies
+ * `threads`, and validateSystemConfig holds for the base config and
+ * for every grid point. Returns the first problem, naming the key.
+ */
+std::optional<std::string> validateSweepConfig(const SweepManifest &m);
+
 /** Serialize @p m as the canonical manifest document. */
 ResultValue manifestToResult(const SweepManifest &m);
 
 /**
  * Parse a manifest document (schema pifetch-sweep-manifest-v1).
  * Returns nullopt and sets @p err on a malformed or inconsistent
- * document (unknown schema, empty axes, shards == 0, ...).
+ * document (unknown schema, empty axes, shards == 0, a config value
+ * validateSweepConfig rejects, ...).
  */
 std::optional<SweepManifest>
 manifestFromResult(const ResultValue &doc, std::string *err = nullptr);

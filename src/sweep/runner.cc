@@ -20,6 +20,7 @@
 #include <sstream>
 
 #include "common/parallel.hh"
+#include "sim/system_config.hh"
 
 namespace pifetch {
 
@@ -169,36 +170,18 @@ sweepBaseOptions(const ExperimentSpec &spec, const SweepManifest &m,
         base.budget->measure = *m.measure;
 
     for (const SweepWorkloadRef &w : m.workloads) {
-        if (!w.isFile) {
-            if (const auto preset = workloadFromName(w.value)) {
-                base.workloads.push_back(WorkloadRef(*preset));
-                continue;
-            }
-        }
-        // Zoo entries and explicit files both load a spec file.
-        std::string path = w.value;
-        if (!w.isFile) {
-            const auto entry = findZooEntry(w.value);
-            if (!entry) {
-                setErr(err, "unknown workload '" + w.value + "'");
-                return std::nullopt;
-            }
-            path = entry->path;
-        }
-        std::string spec_err;
-        auto loaded = loadWorkloadSpecFile(path, &spec_err);
-        if (!loaded) {
-            setErr(err, spec_err);
+        auto ref = resolveWorkload(w.value, w.isFile, err);
+        if (!ref)
             return std::nullopt;
-        }
-        base.workloads.push_back(workloadRefFromSpec(std::move(*loaded)));
+        base.workloads.push_back(std::move(*ref));
     }
-
     for (const auto &[key, value] : m.overrides) {
-        if (!applyConfigOverride(base.cfg, key, value)) {
-            setErr(err, "bad config override " + key + "=" + value);
+        if (!applyConfigOverride(base.cfg, key, value, err))
             return std::nullopt;
-        }
+    }
+    if (const auto bad = validateSystemConfig(base.cfg)) {
+        setErr(err, *bad);
+        return std::nullopt;
     }
     return base;
 }
@@ -209,8 +192,11 @@ runSweepPoint(const ExperimentSpec &spec, const RunOptions &base,
 {
     RunOptions point = base;
     point.cfg.threads = 1;
-    for (const auto &[key, value] : sweepPointParams(m, p))
-        applyConfigOverride(point.cfg, key, value);
+    for (const auto &[key, value] : sweepPointParams(m, p)) {
+        // Manifests are validated on load (validateSweepConfig).
+        if (!applyConfigOverride(point.cfg, key, value))
+            panic("sweep point " + std::to_string(p) + ": bad " + key);
+    }
     return runExperiment(spec, point);
 }
 

@@ -9,9 +9,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <initializer_list>
-#include <sstream>
 
 #include "trace/server_suite.hh"
 
@@ -537,18 +535,12 @@ parseWorkloadSpec(const std::string &text, std::string *err)
 std::optional<WorkloadSpec>
 loadWorkloadSpecFile(const std::string &path, std::string *err)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        if (err)
-            *err = path + ": cannot open";
+    const auto doc = loadJsonFile(path, err);
+    if (!doc)
         return std::nullopt;
-    }
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    std::string inner;
-    const auto spec = parseWorkloadSpec(ss.str(), &inner);
+    auto spec = workloadSpecFromResult(*doc, err);
     if (!spec && err)
-        *err = path + ": " + inner;
+        *err = path + ": " + *err;
     return spec;
 }
 

@@ -127,6 +127,21 @@ TEST(ConfigOverrides, ApplyParseAndReject)
     EXPECT_FALSE(applyConfigOverride(cfg, "pif.separateTrapLevels",
                                      "maybe"));
 
+    // Values must fit the field: a u64 never truncates into an
+    // unsigned field.
+    std::string err;
+    EXPECT_FALSE(applyConfigOverride(cfg, "threads", "4294967297", &err));
+    EXPECT_NE(err.find("threads"), std::string::npos) << err;
+    EXPECT_EQ(cfg.threads, SystemConfig().threads);
+    EXPECT_FALSE(applyConfigOverride(cfg, "l1i.assoc", "4294967296"));
+    EXPECT_TRUE(applyConfigOverride(cfg, "l1i.assoc", "4294967295"));
+    EXPECT_EQ(cfg.l1i.assoc, 4294967295u);
+    EXPECT_TRUE(applyConfigOverride(cfg, "pif.historyRegions",
+                                    "4294967296"));
+    EXPECT_EQ(cfg.pif.historyRegions, 4294967296u);
+    EXPECT_FALSE(applyConfigOverride(cfg, "no.such.key", "1", &err));
+    EXPECT_NE(err.find("no.such.key"), std::string::npos) << err;
+
     // Every advertised key accepts at least one sensible value.
     for (const std::string &key : configOverrideKeys()) {
         SystemConfig scratch;

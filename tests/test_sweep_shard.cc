@@ -151,6 +151,26 @@ TEST(SweepManifestIo, MalformedDocumentsAreRejected)
     mutate([](ResultValue &d) { d.set("points", 999u); });
     mutate([](ResultValue &d) { d.set("axes", ResultValue::array()); });
     mutate([](ResultValue &d) { d.set("experiment", ""); });
+
+    // Axis and override values are checked on load: known key, value
+    // that parses, and a valid SystemConfig at every grid point.
+    const auto rejects = [](const SweepManifest &m) {
+        std::string err;
+        EXPECT_FALSE(
+            manifestFromResult(manifestToResult(m), &err).has_value());
+        return err;
+    };
+    SweepManifest bad = good;
+    bad.axes[2].values = {"2", "bogus"};
+    EXPECT_NE(rejects(bad).find("l1i.assoc"), std::string::npos);
+    bad.axes[2].values = {"2", "0"};
+    EXPECT_NE(rejects(bad).find("l1i.assoc"), std::string::npos);
+    bad = good;
+    bad.axes[0].key = "no.such.key";
+    EXPECT_NE(rejects(bad).find("no.such.key"), std::string::npos);
+    bad = good;
+    bad.overrides = {{"pif.numSabs", "0"}};
+    EXPECT_NE(rejects(bad).find("pif.numSabs"), std::string::npos);
 }
 
 // ----------------------------------------- crash / resume / identity
