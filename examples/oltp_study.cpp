@@ -3,20 +3,17 @@
  * OLTP deep-dive: the workload class the paper's introduction motivates.
  *
  * Runs both OLTP workloads (TPC-C on DB2 and Oracle) through the
- * functional engine with each prefetcher, then through the cycle-level
- * engine, reporting miss elimination and UIPC speedups side by side —
- * a miniature of the paper's Section 5.5/5.6 story.
+ * registry's Figure 10 experiments — miss coverage on the functional
+ * engine, then UIPC speedups on the cycle-level engine — a miniature
+ * of the paper's Section 5.5/5.6 story.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <vector>
 
 #include "common/parallel.hh"
-#include "sim/cycle_engine.hh"
-#include "sim/experiment.hh"
 #include "sim/multicore.hh"
-#include "sim/workloads.hh"
+#include "sim/registry.hh"
 
 using namespace pifetch;
 
@@ -24,43 +21,18 @@ int
 main()
 {
     // threads == 0 resolves to PIFETCH_THREADS or the hardware count;
-    // every simulated core runs on its own worker with identical
-    // results at any thread count.
+    // results are identical at any thread count.
     const SystemConfig cfg;
     std::printf("host worker threads: %u "
                 "(override with PIFETCH_THREADS)\n\n",
                 resolveThreads(cfg.threads));
-    ExperimentBudget budget;
-    budget.warmup = 1'000'000;
-    budget.measure = 4'000'000;
 
-    const std::vector<ServerWorkload> oltp = {
-        ServerWorkload::OltpDb2,
-        ServerWorkload::OltpOracle,
-    };
-
-    for (ServerWorkload w : oltp) {
-        std::printf("=== OLTP %s ===\n", workloadName(w).c_str());
-
-        const auto coverage = runFig10Coverage(w, budget, cfg);
-        std::printf("  baseline L1-I misses: %llu\n",
-                    static_cast<unsigned long long>(
-                        coverage.front().baselineMisses));
-        for (const auto &p : coverage) {
-            std::printf("  %-12s miss coverage %6.2f%%  (%llu left)\n",
-                        prefetcherName(p.kind).c_str(),
-                        100.0 * p.missCoverage,
-                        static_cast<unsigned long long>(
-                            p.remainingMisses));
-        }
-
-        const auto speedups = runFig10Speedup(w, budget, cfg);
-        for (const auto &p : speedups) {
-            std::printf("  %-12s UIPC %.4f  speedup %.3fx\n",
-                        prefetcherName(p.kind).c_str(), p.uipc,
-                        p.speedup);
-        }
-        std::printf("\n");
+    RunOptions opts;
+    opts.workloads = {ServerWorkload::OltpDb2, ServerWorkload::OltpOracle};
+    opts.budget = ExperimentBudget{1'000'000, 4'000'000};
+    for (const char *name : {"fig10-coverage", "fig10-speedup"}) {
+        const ResultValue doc = runExperiment(*findExperiment(name), opts);
+        std::printf("%s\n", renderText(doc).c_str());
     }
 
     // The paper's actual methodology: a 16-core CMP, results averaged

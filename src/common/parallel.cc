@@ -54,8 +54,12 @@ unsigned
 defaultThreads()
 {
     if (const char *env = std::getenv("PIFETCH_THREADS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0) {
+        // Only a whole positive decimal integer counts: "4abc", "2.5",
+        // "+4", " 4" and "" are malformed. Overflow saturates at
+        // LONG_MAX and is capped below.
+        char *end = nullptr;
+        const long v = std::strtol(env, &end, 10);
+        if (*env >= '0' && *env <= '9' && *end == '\0' && v > 0) {
             return static_cast<unsigned>(
                 std::min<long>(v, maxPoolThreads));
         }

@@ -3,13 +3,14 @@
  * Fixed-size worker pool and data-parallel loop primitive.
  *
  * The simulator's outer loops (one engine per simulated core, one
- * engine per prefetcher configuration) are embarrassingly parallel:
- * every task constructs its own Program, SystemConfig, RNG and
- * predictor state, so nothing is shared but read-only inputs. This
- * subsystem makes that isolation explicit. parallelFor(n, fn) runs
- * fn(0..n-1) across a fixed set of std::thread workers and guarantees
- * that results placed into per-index slots are bit-identical to a
- * serial execution — the schedule may differ, the work may not.
+ * engine per experiment point) are embarrassingly parallel: every
+ * task constructs its own engine, SystemConfig, RNG and predictor
+ * state, and shares nothing but read-only inputs such as a Program
+ * built before the loop. This subsystem makes that isolation
+ * explicit. parallelFor(n, fn) runs fn(0..n-1) across a fixed set of
+ * std::thread workers and guarantees that results placed into
+ * per-index slots are bit-identical to a serial execution — the
+ * schedule may differ, the work may not.
  *
  * Thread-count resolution (resolveThreads): an explicit request wins;
  * a request of 0 means "auto", which honours the PIFETCH_THREADS
@@ -34,7 +35,8 @@ namespace pifetch {
 
 /**
  * Number of workers used when a caller asks for "auto" (threads == 0):
- * PIFETCH_THREADS if set to a positive integer, otherwise
+ * PIFETCH_THREADS if set (a whole positive decimal integer; anything
+ * else means 1, strictly serial), otherwise
  * std::thread::hardware_concurrency(), and at least 1.
  */
 unsigned defaultThreads();

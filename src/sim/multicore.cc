@@ -40,26 +40,6 @@ MulticoreTraceResult::totalMisses() const
     return sum;
 }
 
-double
-MulticoreCycleResult::meanUipc() const
-{
-    if (perCore.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const CycleRunResult &r : perCore)
-        sum += r.uipc;
-    return sum / static_cast<double>(perCore.size());
-}
-
-InstCount
-MulticoreCycleResult::totalUserInstrs() const
-{
-    InstCount sum = 0;
-    for (const CycleRunResult &r : perCore)
-        sum += r.userInstrs;
-    return sum;
-}
-
 MulticoreTraceResult
 runMulticoreTrace(const WorkloadRef &w, PrefetcherKind kind, unsigned cores,
                   InstCount warmup, InstCount measure,
@@ -127,14 +107,13 @@ meanMissRatioSince(const std::vector<std::unique_ptr<TraceEngine>> &eng,
 } // namespace
 
 SharedPifStudyResult
-runSharedPifStudy(const WorkloadRef &w, unsigned cores,
-                  std::uint64_t total_history_regions,
+runSharedPifStudy(const WorkloadRef &w, const Program &prog,
+                  unsigned cores, std::uint64_t total_history_regions,
                   InstCount warmup, InstCount measure,
                   const SystemConfig &cfg)
 {
     // All cores execute the SAME binary (distinct interleavings), as
     // on a real server; otherwise cross-core sharing cannot help.
-    const Program prog = w.buildProgram();
     SharedPifStudyResult out;
 
     for (const bool shared : {false, true}) {
@@ -199,27 +178,6 @@ runSharedPifStudy(const WorkloadRef &w, unsigned cores,
             out.privateCoverage = coverage;
         }
     }
-    return out;
-}
-
-MulticoreCycleResult
-runMulticoreCycle(const WorkloadRef &w, PrefetcherKind kind, unsigned cores,
-                  InstCount warmup, InstCount measure,
-                  const SystemConfig &cfg)
-{
-    MulticoreCycleResult out;
-    out.perCore.resize(cores);
-    // Same isolation argument as runMulticoreTrace: per-task
-    // construction, disjoint result slots, deterministic output.
-    parallelFor(cfg.threads, cores, [&](std::uint64_t core) {
-        const Program prog = w.buildProgram(core);
-        SystemConfig core_cfg = cfg;
-        core_cfg.seed = cfg.seed + core * 7919;
-        CycleEngine engine(core_cfg, prog,
-                           w.executorConfig(core, core),
-                           kind);
-        out.perCore[core] = engine.run(warmup, measure);
-    });
     return out;
 }
 

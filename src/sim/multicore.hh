@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "pif/shared_pif.hh"
-#include "sim/cycle_engine.hh"
 #include "sim/trace_engine.hh"
 #include "sim/workloads.hh"
 
@@ -39,18 +38,6 @@ struct MulticoreTraceResult
     std::uint64_t totalMisses() const;
 };
 
-/** Aggregated multi-core timed results. */
-struct MulticoreCycleResult
-{
-    std::vector<CycleRunResult> perCore;
-
-    /** Mean UIPC across cores (the paper's throughput proxy). */
-    double meanUipc() const;
-
-    /** Total user instructions committed across cores. */
-    InstCount totalUserInstrs() const;
-};
-
 /**
  * Run the functional engine on @p cores instances of a workload.
  *
@@ -58,12 +45,6 @@ struct MulticoreCycleResult
  */
 MulticoreTraceResult
 runMulticoreTrace(const WorkloadRef &w, PrefetcherKind kind, unsigned cores,
-                  InstCount warmup, InstCount measure,
-                  const SystemConfig &cfg = SystemConfig{});
-
-/** Run the cycle engine on @p cores instances of a workload. */
-MulticoreCycleResult
-runMulticoreCycle(const WorkloadRef &w, PrefetcherKind kind, unsigned cores,
                   InstCount warmup, InstCount measure,
                   const SystemConfig &cfg = SystemConfig{});
 
@@ -84,11 +65,12 @@ struct SharedPifStudyResult
 /**
  * Compare dedicated per-core history (capacity/core = total/cores)
  * against one shared history of the same aggregate capacity, with all
- * cores executing the same program (distinct interleavings).
+ * cores executing @p prog, the workload's Program (distinct
+ * interleavings).
  */
 SharedPifStudyResult
-runSharedPifStudy(const WorkloadRef &w, unsigned cores,
-                  std::uint64_t total_history_regions,
+runSharedPifStudy(const WorkloadRef &w, const Program &prog,
+                  unsigned cores, std::uint64_t total_history_regions,
                   InstCount warmup, InstCount measure,
                   const SystemConfig &cfg = SystemConfig{});
 

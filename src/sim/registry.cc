@@ -2,10 +2,9 @@
  * @file
  * Experiment registry implementation.
  *
- * Each runner ports one bench binary's figure-reproduction loop into
- * a structured-result producer. Workload fan-out uses the worker pool
- * (common/parallel.hh) with results landing in fixed slots, so every
- * document is bit-identical at any thread count.
+ * Each experiment is a `points` function listing its simulation
+ * points in stages and a pure `reduce` building its tables from their
+ * results. One scheduler (runStages) runs every experiment's points.
  */
 
 #include "sim/registry.hh"
@@ -14,46 +13,105 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <variant>
 
 #include "common/parallel.hh"
 #include "common/types.hh"
-#include "pif/pif_prefetcher.hh"
+#include "pif/region_analyzer.hh"
+#include "pif/spatial_compactor.hh"
 #include "pif/storage.hh"
-#include "prefetch/next_line.hh"
+#include "pif/temporal_compactor.hh"
+#include "sim/cycle_engine.hh"
 #include "sim/multicore.hh"
-#include "sim/workloads.hh"
+#include "sim/trace_engine.hh"
+#include "streams/jump_distance.hh"
+#include "streams/stream_length.hh"
+#include "streams/temporal_predictor.hh"
 
 namespace pifetch {
 
 namespace {
 
-std::vector<WorkloadRef>
-workloadsOf(const ExperimentSpec &spec, const RunOptions &opts)
+/** A table row of @p cells, in order. */
+template <typename... Cells>
+ResultValue
+rowOf(Cells &&...cells)
 {
-    return opts.workloads.empty() ? spec.defaultWorkloads
-                                  : opts.workloads;
-}
-
-ExperimentBudget
-budgetOf(const ExperimentSpec &spec, const RunOptions &opts)
-{
-    return opts.budget ? *opts.budget : spec.defaultBudget;
+    ResultValue row = ResultValue::array();
+    (row.push(ResultValue(std::forward<Cells>(cells))), ...);
+    return row;
 }
 
 /** Standard row prefix: workload class and display name. */
-void
-pushWorkloadCells(ResultValue &row, const WorkloadRef &w)
+ResultValue
+workloadRow(const WorkloadRef &w)
 {
-    row.push(w.group());
-    row.push(w.name());
+    return rowOf(w.group(), w.name());
+}
+
+/** A table whose rows are @p rows. */
+ResultValue
+tableOf(const std::string &title, const std::vector<std::string> &columns,
+        const std::vector<ResultValue> &rows)
+{
+    ResultValue t = makeTable(title, columns);
+    ResultValue &out = *t.find("rows");
+    for (const ResultValue &row : rows)
+        out.push(row);
+    return t;
+}
+
+/** A document body holding the array @p tables. */
+ResultValue
+tablesBody(ResultValue tables)
+{
+    ResultValue body = ResultValue::object();
+    body.set("tables", std::move(tables));
+    return body;
+}
+
+/** One stage of one @p fn point per selected workload. */
+std::vector<ExperimentStage>
+perWorkload(const RunOptions &opts, const decltype(ExperimentPoint::run) &fn)
+{
+    ExperimentStage stage;
+    for (const WorkloadRef &w : opts.workloads)
+        stage.push_back({w, fn});
+    return {stage};
+}
+
+/** One functional-engine run of @p kind on @p prog. */
+TraceRunResult
+traceRun(const SystemConfig &cfg, PrefetcherKind kind, bool unbounded,
+         const WorkloadRef &w, const Program &prog,
+         const ExperimentBudget &budget)
+{
+    TraceEngine engine(cfg, prog, w.executorConfig(),
+                       makePrefetcher(kind, cfg, unbounded));
+    return engine.run(budget.warmup, budget.measure);
 }
 
 // --------------------------------------------------------- Table I
 
+std::vector<ExperimentStage>
+table1Points(const RunOptions &opts)
+{
+    return perWorkload(opts, [](const WorkloadRef &w, const Program &prog) {
+        const WorkloadParams p = w.params();
+        ResultValue row = workloadRow(w);
+        row.push(static_cast<double>(prog.footprintBytes()) / (1 << 20));
+        row.push(p.appFunctions);
+        row.push(p.libFunctions);
+        row.push(p.transactions);
+        row.push(p.interruptRate);
+        return row;
+    });
+}
+
 ResultValue
-runTable1(const ExperimentSpec &spec, const RunOptions &opts)
+table1Reduce(const RunOptions &opts, const std::vector<ResultValue> &apps)
 {
     const SystemConfig &cfg = opts.cfg;
 
@@ -62,10 +120,7 @@ runTable1(const ExperimentSpec &spec, const RunOptions &opts)
     {
         ResultValue &rows = *system.find("rows");
         const auto add = [&rows](const std::string &k, ResultValue v) {
-            ResultValue row = ResultValue::array();
-            row.push(k);
-            row.push(std::move(v));
-            rows.push(std::move(row));
+            rows.push(rowOf(k, std::move(v)));
         };
         add("cores", cfg.numCores);
         add("l1i_bytes", cfg.l1i.sizeBytes);
@@ -91,10 +146,7 @@ runTable1(const ExperimentSpec &spec, const RunOptions &opts)
         const PifStorage s = computePifStorage(cfg.pif);
         ResultValue &rows = *storage.find("rows");
         const auto add = [&rows](const std::string &k, double kib) {
-            ResultValue row = ResultValue::array();
-            row.push(k);
-            row.push(kib);
-            rows.push(std::move(row));
+            rows.push(rowOf(k, kib));
         };
         add("pif_history", s.historyBits / 8192.0);
         add("pif_index", s.indexBits / 8192.0);
@@ -104,210 +156,359 @@ runTable1(const ExperimentSpec &spec, const RunOptions &opts)
         add("tifs_equal_capacity", tifsStorageBits(cfg.tifs) / 8192.0);
     }
 
-    const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
-    ResultValue app = makeTable(
+    ResultValue app = tableOf(
         "Application parameters (Table I right, synthetic equivalents)",
         {"group", "workload", "footprint_mb", "app_functions",
-         "lib_functions", "transactions", "interrupt_rate"});
-    {
-        std::vector<std::uint64_t> footprint(ws.size(), 0);
-        parallelFor(cfg.threads, ws.size(), [&](std::uint64_t i) {
-            footprint[i] = ws[i].buildProgram().footprintBytes();
-        });
-        ResultValue &rows = *app.find("rows");
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-            const WorkloadParams p = ws[i].params();
-            ResultValue row = ResultValue::array();
-            pushWorkloadCells(row, ws[i]);
-            row.push(static_cast<double>(footprint[i]) / (1 << 20));
-            row.push(p.appFunctions);
-            row.push(p.libFunctions);
-            row.push(p.transactions);
-            row.push(p.interruptRate);
-            rows.push(std::move(row));
-        }
-    }
+         "lib_functions", "transactions", "interrupt_rate"},
+        apps);
 
-    ResultValue body = ResultValue::object();
-    body.set("tables", ResultValue::array()
-                           .push(std::move(system))
-                           .push(std::move(storage))
-                           .push(std::move(app)));
-    return body;
+    return tablesBody(ResultValue::array()
+                          .push(std::move(system))
+                          .push(std::move(storage))
+                          .push(std::move(app)));
 }
 
 // --------------------------------------------------------- Figure 2
 
-ResultValue
-runFig2Body(const ExperimentSpec &spec, const RunOptions &opts)
+/**
+ * Coverage of the correct-path L1-I misses by a temporal predictor
+ * following each of the four observation streams.
+ */
+std::vector<ExperimentStage>
+fig2Points(const RunOptions &opts)
 {
-    const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
-    const ExperimentBudget budget = budgetOf(spec, opts);
+    return perWorkload(opts, [budget = *opts.budget, cfg = opts.cfg](
+                                 const WorkloadRef &w, const Program &prog) {
+        Executor exec(prog, w.executorConfig());
+        Cache l1i(cfg.l1i, ReplacementKind::LRU, cfg.seed);
+        Frontend frontend(cfg, l1i, cfg.seed ^ 0xfe7c4);
 
-    std::vector<Fig2Result> rs(ws.size());
-    parallelFor(opts.cfg.threads, ws.size(), [&](std::uint64_t i) {
-        rs[i] = runFig2(ws[i], budget, opts.cfg);
+        // Unbounded study predictor sizing.
+        TemporalPredictorConfig study;
+        study.historyCapacity = 0;
+        study.indexEntries = 0;
+        study.numStreams = 4;
+        study.window = 16;
+        TemporalStreamPredictor miss_pred(study);
+        TemporalStreamPredictor access_pred(study);
+        TemporalStreamPredictor retire_pred(study);
+        TemporalStreamPredictor retire_sep[maxTrapLevels] = {
+            TemporalStreamPredictor(study), TemporalStreamPredictor(study),
+        };
+
+        Addr last_retire_block = invalidAddr;
+        Addr last_sep_block[maxTrapLevels] = {invalidAddr, invalidAddr};
+
+        std::uint64_t total_misses = 0;
+        std::uint64_t cov_miss = 0;
+        std::uint64_t cov_access = 0;
+        std::uint64_t cov_retire = 0;
+        std::uint64_t cov_sep = 0;
+
+        std::vector<FetchAccess> events;
+        events.reserve(64);
+
+        const InstCount total = budget.warmup + budget.measure;
+        for (InstCount i = 0; i < total; ++i) {
+            const bool measuring = i >= budget.warmup;
+            const RetiredInstr instr = exec.next();
+            events.clear();
+            frontend.step(instr, events);
+
+            for (const FetchAccess &ev : events) {
+                const bool is_cp_miss = ev.correctPath && !ev.hit;
+                if (is_cp_miss && measuring) {
+                    ++total_misses;
+                    // Coverage queries *before* this event's observations:
+                    // "would a prefetcher following stream X have already
+                    // predicted this block?"
+                    if (miss_pred.covered(ev.block))
+                        ++cov_miss;
+                    if (access_pred.covered(ev.block))
+                        ++cov_access;
+                    if (retire_pred.covered(ev.block))
+                        ++cov_retire;
+                    const TrapLevel tl =
+                        std::min<TrapLevel>(ev.trapLevel, maxTrapLevels - 1);
+                    if (retire_sep[tl].covered(ev.block))
+                        ++cov_sep;
+                }
+                // Observation streams: access sees everything the front-end
+                // fetches (wrong path included); miss sees every L1-I miss.
+                access_pred.observe(ev.block);
+                if (!ev.hit)
+                    miss_pred.observe(ev.block);
+            }
+
+            // Retire-order streams (block-collapsed).
+            const Addr rblock = blockAddr(instr.pc);
+            if (rblock != last_retire_block) {
+                last_retire_block = rblock;
+                retire_pred.observe(rblock);
+            }
+            const TrapLevel tl =
+                std::min<TrapLevel>(instr.trapLevel, maxTrapLevels - 1);
+            if (rblock != last_sep_block[tl]) {
+                last_sep_block[tl] = rblock;
+                retire_sep[tl].observe(rblock);
+            }
+        }
+
+        const double denom =
+            total_misses > 0 ? static_cast<double>(total_misses) : 1.0;
+        ResultValue row = workloadRow(w);
+        row.push(static_cast<double>(cov_miss) / denom);
+        row.push(static_cast<double>(cov_access) / denom);
+        row.push(static_cast<double>(cov_retire) / denom);
+        row.push(static_cast<double>(cov_sep) / denom);
+        row.push(total_misses);
+        return row;
     });
+}
 
-    ResultValue t = makeTable(
+ResultValue
+fig2Reduce(const RunOptions &, const std::vector<ResultValue> &rows)
+{
+    return tablesBody(ResultValue::array().push(tableOf(
         "Correctly predicted correct-path L1-I misses (fraction)",
-        {"group", "workload", "miss", "access", "retire",
-         "retire_sep", "correct_path_misses"});
-    ResultValue &rows = *t.find("rows");
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-        ResultValue row = ResultValue::array();
-        pushWorkloadCells(row, ws[i]);
-        row.push(rs[i].missCoverage);
-        row.push(rs[i].accessCoverage);
-        row.push(rs[i].retireCoverage);
-        row.push(rs[i].retireSepCoverage);
-        row.push(rs[i].correctPathMisses);
-        rows.push(std::move(row));
-    }
-    ResultValue body = ResultValue::object();
-    body.set("tables", ResultValue::array().push(std::move(t)));
-    return body;
+        {"group", "workload", "miss", "access", "retire", "retire_sep",
+         "correct_path_misses"},
+        rows)));
 }
 
 // --------------------------------------------------------- Figure 3
 
-ResultValue
-runFig3Body(const ExperimentSpec &spec, const RunOptions &opts)
+/**
+ * Figure 3's analyzer: a wide window so the density distribution
+ * itself reveals the useful geometry (up to 32 blocks as in the
+ * paper's buckets).
+ */
+RegionAnalyzer
+fig3Analyzer()
 {
-    const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
-    const InstCount instrs = budgetOf(spec, opts).measure;
+    return RegionAnalyzer(4, 27);
+}
 
-    std::vector<Fig3Result> rs;
-    rs.resize(ws.size(), Fig3Result{});
-    parallelFor(opts.cfg.threads, ws.size(), [&](std::uint64_t i) {
-        rs[i] = runFig3(ws[i], instrs);
-    });
+std::vector<ExperimentStage>
+fig3Points(const RunOptions &opts)
+{
+    return perWorkload(opts, [instrs = opts.budget->measure](
+                                 const WorkloadRef &w, const Program &p) {
+        Executor exec(p, w.executorConfig());
+        RegionAnalyzer analyzer = fig3Analyzer();
+        for (InstCount i = 0; i < instrs; ++i)
+            analyzer.observe(exec.next().pc);
+        analyzer.finish();
 
-    const auto histTable = [&](const char *title, bool density) {
-        std::vector<std::string> cols = {"group", "workload"};
-        const RangeHistogram &sample =
-            density ? rs.front().density : rs.front().groups;
-        for (unsigned b = 0; b < sample.ranges(); ++b)
-            cols.push_back(sample.labelAt(b));
-        if (density)
-            cols.push_back("regions");
-        ResultValue t = makeTable(title, cols);
-        ResultValue &rows = *t.find("rows");
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-            const RangeHistogram &h =
-                density ? rs[i].density : rs[i].groups;
-            ResultValue row = ResultValue::array();
-            pushWorkloadCells(row, ws[i]);
+        const auto fractions = [&w](const RangeHistogram &h) {
+            ResultValue row = workloadRow(w);
             for (unsigned b = 0; b < h.ranges(); ++b)
                 row.push(h.fractionAt(b));
-            if (density)
-                row.push(rs[i].regions);
-            rows.push(std::move(row));
-        }
-        return t;
-    };
+            return row;
+        };
+        ResultValue out = ResultValue::object();
+        out.set("density",
+                fractions(analyzer.density()).push(analyzer.regions()));
+        out.set("groups", fractions(analyzer.groups()));
+        return out;
+    });
+}
 
-    ResultValue body = ResultValue::object();
-    body.set("tables",
-             ResultValue::array()
-                 .push(histTable("References to spatial regions by "
-                                 "density (unique blocks)", true))
-                 .push(histTable("Discontinuous access groups within "
-                                 "regions", false)));
-    return body;
+ResultValue
+fig3Reduce(const RunOptions &, const std::vector<ResultValue> &results)
+{
+    const RegionAnalyzer shape = fig3Analyzer();
+    const auto table = [&](const char *title, const char *key,
+                           const RangeHistogram &h, bool regions) {
+        std::vector<std::string> cols = {"group", "workload"};
+        for (unsigned b = 0; b < h.ranges(); ++b)
+            cols.push_back(h.labelAt(b));
+        if (regions)
+            cols.push_back("regions");
+        std::vector<ResultValue> rows;
+        for (const ResultValue &r : results)
+            rows.push_back(*r.find(key));
+        return tableOf(title, cols, rows);
+    };
+    return tablesBody(
+        ResultValue::array()
+            .push(table("References to spatial regions by density "
+                        "(unique blocks)", "density", shape.density(),
+                        true))
+            .push(table("Discontinuous access groups within regions",
+                        "groups", shape.groups(), false)));
 }
 
 // ------------------------------------------- Figures 7 / 9 (left)
 
-/** Shared shape: per-workload cumulative log2 histogram table. */
-ResultValue
-cumulativeLog2Body(const std::vector<WorkloadRef> &ws,
-                   const std::vector<Log2Histogram> &hists,
-                   unsigned bucket_cap, const char *title)
-{
-    unsigned max_bucket = 1;
-    for (const Log2Histogram &h : hists)
-        max_bucket = std::max(max_bucket, h.highestBucket());
-    max_bucket = std::min(max_bucket, bucket_cap);
+/** Table depth (highest log2 bucket shown) of Figure 7. */
+constexpr unsigned fig7Buckets = 25;
+/** Table depth (highest log2 bucket shown) of Figure 9 (left). */
+constexpr unsigned fig9LeftBuckets = 21;
 
-    std::vector<std::string> cols = {"log2"};
-    for (const WorkloadRef &w : ws)
-        cols.push_back(w.name());
-    ResultValue t = makeTable(title, cols);
-    ResultValue &rows = *t.find("rows");
-    for (unsigned b = 0; b <= max_bucket; ++b) {
-        ResultValue row = ResultValue::array();
-        row.push(b);
-        for (const Log2Histogram &h : hists)
-            row.push(h.cumulativeAt(b));
-        rows.push(std::move(row));
+/** @p h as its highest bucket and cumulative fractions to @p cap. */
+ResultValue
+cumulativeOf(const Log2Histogram &h, unsigned cap)
+{
+    ResultValue cumulative = ResultValue::array();
+    for (unsigned b = 0; b <= cap; ++b)
+        cumulative.push(h.cumulativeAt(b));
+    ResultValue out = ResultValue::object();
+    out.set("highest", h.highestBucket());
+    out.set("cumulative", std::move(cumulative));
+    return out;
+}
+
+/**
+ * The reduce of a per-workload cumulative log2 histogram table
+ * showing buckets up to @p cap.
+ */
+decltype(ExperimentSpec::reduce)
+cumulativeReduce(unsigned cap, const char *title)
+{
+    return [cap, title](const RunOptions &opts,
+                        const std::vector<ResultValue> &results) {
+        unsigned max_bucket = 1;
+        for (const ResultValue &r : results) {
+            max_bucket = std::max(
+                max_bucket,
+                static_cast<unsigned>(r.find("highest")->uintValue()));
+        }
+        max_bucket = std::min(max_bucket, cap);
+
+        std::vector<std::string> cols = {"log2"};
+        for (const WorkloadRef &w : opts.workloads)
+            cols.push_back(w.name());
+        ResultValue t = makeTable(title, cols);
+        ResultValue &rows = *t.find("rows");
+        for (unsigned b = 0; b <= max_bucket; ++b) {
+            ResultValue row = rowOf(b);
+            for (const ResultValue &r : results)
+                row.push(r.find("cumulative")->at(b));
+            rows.push(std::move(row));
+        }
+        return tablesBody(ResultValue::array().push(std::move(t)));
+    };
+}
+
+std::vector<ExperimentStage>
+fig7Points(const RunOptions &opts)
+{
+    return perWorkload(opts, [instrs = opts.budget->measure](
+                                 const WorkloadRef &w, const Program &p) {
+        Executor exec(p, w.executorConfig());
+        JumpDistanceStudy study;
+        Addr last_block = invalidAddr;
+        for (InstCount i = 0; i < instrs; ++i) {
+            const RetiredInstr instr = exec.next();
+            if (instr.trapLevel != 0)
+                continue;  // application stream, as in Section 5.1
+            const Addr b = blockAddr(instr.pc);
+            if (b != last_block) {
+                last_block = b;
+                study.observe(b);
+            }
+        }
+        study.finish();
+        return cumulativeOf(study.histogram(), fig7Buckets);
+    });
+}
+
+std::vector<ExperimentStage>
+fig9LeftPoints(const RunOptions &opts)
+{
+    return perWorkload(opts, [instrs = opts.budget->measure](
+                                 const WorkloadRef &w, const Program &p) {
+        Executor exec(p, w.executorConfig());
+        // Compact the retire stream into spatial regions first: stream
+        // lengths are measured in regions, matching the figure's axis.
+        SpatialCompactor spatial(2, 5);
+        TemporalCompactor temporal(4);
+        StreamLengthStudy study;
+        for (InstCount i = 0; i < instrs; ++i) {
+            const RetiredInstr instr = exec.next();
+            if (auto rec =
+                    spatial.observe(instr.pc, true, instr.trapLevel)) {
+                if (temporal.admit(*rec))
+                    study.observe(rec->triggerPc);
+            }
+        }
+        study.finish();
+        return cumulativeOf(study.histogram(), fig9LeftBuckets);
+    });
+}
+
+/**
+ * One stage of workload x @p values points, each a bounded PIF run of
+ * opts.cfg changed by @p apply that returns its [TL0, TL1, overall]
+ * coverage.
+ */
+template <typename Value, std::size_t N, typename Apply>
+std::vector<ExperimentStage>
+pifCoverageSweep(const RunOptions &opts, const Value (&values)[N],
+                 Apply apply)
+{
+    ExperimentStage stage;
+    for (const WorkloadRef &w : opts.workloads) {
+        for (const Value &v : values) {
+            SystemConfig cfg = opts.cfg;
+            apply(cfg, v);
+            stage.push_back({w, [cfg, budget = *opts.budget](
+                                    const WorkloadRef &wl,
+                                    const Program &p) {
+                const TraceRunResult r = traceRun(
+                    cfg, PrefetcherKind::Pif, false, wl, p, budget);
+                return rowOf(r.pifCoverageTl0, r.pifCoverageTl1,
+                             r.pifCoverage);
+            }});
+        }
     }
-    ResultValue body = ResultValue::object();
-    body.set("tables", ResultValue::array().push(std::move(t)));
-    return body;
-}
-
-ResultValue
-runFig7Body(const ExperimentSpec &spec, const RunOptions &opts)
-{
-    const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
-    const InstCount instrs = budgetOf(spec, opts).measure;
-    std::vector<Log2Histogram> hists(ws.size(), Log2Histogram(1));
-    parallelFor(opts.cfg.threads, ws.size(), [&](std::uint64_t i) {
-        hists[i] = runFig7(ws[i], instrs);
-    });
-    return cumulativeLog2Body(
-        ws, hists, 25,
-        "Weighted jump distance in history (cumulative fraction)");
-}
-
-ResultValue
-runFig9LeftBody(const ExperimentSpec &spec, const RunOptions &opts)
-{
-    const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
-    const InstCount instrs = budgetOf(spec, opts).measure;
-    std::vector<Log2Histogram> hists(ws.size(), Log2Histogram(1));
-    parallelFor(opts.cfg.threads, ws.size(), [&](std::uint64_t i) {
-        hists[i] = runFig9Left(ws[i], instrs);
-    });
-    return cumulativeLog2Body(
-        ws, hists, 21,
-        "Correct predictions by temporal stream length "
-        "(cumulative fraction, log2 regions)");
+    return {stage};
 }
 
 // --------------------------------------------------------- Figure 8
 
-ResultValue
-runFig8LeftBody(const ExperimentSpec &spec, const RunOptions &opts)
+/** Figure 8 (left)'s -4..+12 offset window around the trigger. */
+constexpr int fig8Before = 4;
+constexpr int fig8After = 12;
+
+std::vector<ExperimentStage>
+fig8LeftPoints(const RunOptions &opts)
 {
-    const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
-    const InstCount instrs = budgetOf(spec, opts).measure;
-
-    std::vector<LinearHistogram> hists(ws.size(),
-                                       LinearHistogram(-4, 12));
-    parallelFor(opts.cfg.threads, ws.size(), [&](std::uint64_t i) {
-        hists[i] = runFig8Left(ws[i], instrs);
+    return perWorkload(opts, [instrs = opts.budget->measure](
+                                 const WorkloadRef &w, const Program &p) {
+        Executor exec(p, w.executorConfig());
+        RegionAnalyzer analyzer(fig8Before, fig8After);
+        for (InstCount i = 0; i < instrs; ++i)
+            analyzer.observe(exec.next().pc);
+        analyzer.finish();
+        ResultValue weights = ResultValue::array();
+        for (int off = -fig8Before; off <= fig8After; ++off)
+            weights.push(analyzer.offsets().weightAt(off));
+        return weights;
     });
+}
 
+ResultValue
+fig8LeftReduce(const RunOptions &opts,
+               const std::vector<ResultValue> &weights)
+{
     // The paper aggregates by workload class; preserve the class
     // order of the selected workloads.
     std::vector<std::string> groups;
-    for (const WorkloadRef &w : ws) {
-        const std::string g = w.group();
-        if (std::find(groups.begin(), groups.end(), g) == groups.end())
-            groups.push_back(g);
-    }
-    std::vector<LinearHistogram> sums(groups.size(),
-                                      LinearHistogram(-4, 12));
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-        const std::size_t g = static_cast<std::size_t>(
-            std::find(groups.begin(), groups.end(),
-                      ws[i].group()) -
-            groups.begin());
-        for (int off = -4; off <= 12; ++off) {
+    std::vector<LinearHistogram> sums;
+    for (std::size_t i = 0; i < opts.workloads.size(); ++i) {
+        const std::string g = opts.workloads[i].group();
+        auto it = std::find(groups.begin(), groups.end(), g);
+        if (it == groups.end()) {
+            sums.emplace_back(-fig8Before, fig8After);
+            it = groups.insert(it, g);
+        }
+        LinearHistogram &sum =
+            sums[static_cast<std::size_t>(it - groups.begin())];
+        for (int off = -fig8Before; off <= fig8After; ++off) {
             if (off != 0)
-                sums[g].add(off, hists[i].weightAt(off));
+                sum.add(off, weights[i].at(off + fig8Before).number());
         }
     }
 
@@ -317,346 +518,344 @@ runFig8LeftBody(const ExperimentSpec &spec, const RunOptions &opts)
         "References within spatial regions by distance from trigger "
         "(fraction)", cols);
     ResultValue &rows = *t.find("rows");
-    for (int off = -4; off <= 12; ++off) {
+    for (int off = -fig8Before; off <= fig8After; ++off) {
         if (off == 0)
             continue;
-        ResultValue row = ResultValue::array();
-        row.push(off);
+        ResultValue row = rowOf(off);
         for (const LinearHistogram &h : sums)
             row.push(h.fractionAt(off));
         rows.push(std::move(row));
     }
-    ResultValue body = ResultValue::object();
-    body.set("tables", ResultValue::array().push(std::move(t)));
-    return body;
+    return tablesBody(ResultValue::array().push(std::move(t)));
+}
+
+/**
+ * Figure 8 (right)'s region sizes as (blocks before, blocks after),
+ * skewed toward succeeding blocks per Section 5.2.
+ */
+struct RegionGeometry { unsigned total, before, after; };
+constexpr RegionGeometry fig8Geometries[] = {
+    {1, 0, 0}, {2, 0, 1}, {4, 1, 2}, {6, 2, 3}, {8, 2, 5},
+};
+
+std::vector<ExperimentStage>
+fig8RightPoints(const RunOptions &opts)
+{
+    return pifCoverageSweep(opts, fig8Geometries,
+                            [](SystemConfig &c, const RegionGeometry &g) {
+                                c.pif.blocksBefore = g.before;
+                                c.pif.blocksAfter = g.after;
+                            });
 }
 
 ResultValue
-runFig8RightBody(const ExperimentSpec &spec, const RunOptions &opts)
+fig8RightReduce(const RunOptions &opts,
+                const std::vector<ResultValue> &results)
 {
-    const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
-    const ExperimentBudget budget = budgetOf(spec, opts);
-
-    std::vector<std::vector<Fig8RightPoint>> rs(ws.size());
-    parallelFor(opts.cfg.threads, ws.size(), [&](std::uint64_t i) {
-        rs[i] = runFig8Right(ws[i], budget, opts.cfg);
-    });
-
     std::vector<std::string> cols = {"group", "workload", "trap_level"};
-    for (const Fig8RightPoint &p : rs.front())
-        cols.push_back("r" + std::to_string(p.regionBlocks));
+    for (const RegionGeometry &g : fig8Geometries)
+        cols.push_back("r" + std::to_string(g.total));
     ResultValue t = makeTable(
         "PIF coverage vs spatial region size (fraction)", cols);
     ResultValue &rows = *t.find("rows");
-    for (std::size_t i = 0; i < ws.size(); ++i) {
+    const std::size_t sizes = std::size(fig8Geometries);
+    for (std::size_t i = 0; i < opts.workloads.size(); ++i) {
         for (const unsigned tl : {0u, 1u}) {
-            ResultValue row = ResultValue::array();
-            pushWorkloadCells(row, ws[i]);
+            ResultValue row = workloadRow(opts.workloads[i]);
             row.push("TL" + std::to_string(tl));
-            for (const Fig8RightPoint &p : rs[i])
-                row.push(tl == 0 ? p.tl0Coverage : p.tl1Coverage);
+            for (std::size_t s = 0; s < sizes; ++s)
+                row.push(results[i * sizes + s].at(tl));
             rows.push(std::move(row));
         }
     }
-    ResultValue body = ResultValue::object();
-    body.set("tables", ResultValue::array().push(std::move(t)));
-    return body;
+    return tablesBody(ResultValue::array().push(std::move(t)));
 }
 
 // ------------------------------------------------ Figure 9 (right)
 
-ResultValue
-runFig9RightBody(const ExperimentSpec &spec, const RunOptions &opts)
+constexpr std::uint64_t fig9HistorySizes[] = {
+    2 * 1024, 8 * 1024, 32 * 1024, 128 * 1024, 512 * 1024,
+};
+
+std::vector<ExperimentStage>
+fig9RightPoints(const RunOptions &opts)
 {
-    const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
-    const ExperimentBudget budget = budgetOf(spec, opts);
-    const std::vector<std::uint64_t> sizes = {
-        2 * 1024, 8 * 1024, 32 * 1024, 128 * 1024, 512 * 1024,
-    };
+    return pifCoverageSweep(opts, fig9HistorySizes,
+                            [](SystemConfig &c, std::uint64_t regions) {
+                                c.pif.historyRegions = regions;
+                            });
+}
 
-    std::vector<std::vector<Fig9RightPoint>> rs(ws.size());
-    parallelFor(opts.cfg.threads, ws.size(), [&](std::uint64_t i) {
-        rs[i] = runFig9Right(ws[i], budget, sizes, opts.cfg);
-    });
-
+ResultValue
+fig9RightReduce(const RunOptions &opts,
+                const std::vector<ResultValue> &coverage)
+{
     std::vector<std::string> cols = {"history_regions"};
-    for (const WorkloadRef &w : ws)
+    for (const WorkloadRef &w : opts.workloads)
         cols.push_back(w.name());
     ResultValue t = makeTable(
         "PIF predictor coverage vs history size (fraction)", cols);
     ResultValue &rows = *t.find("rows");
-    for (std::size_t s = 0; s < sizes.size(); ++s) {
-        ResultValue row = ResultValue::array();
-        row.push(sizes[s]);
-        for (const auto &points : rs)
-            row.push(points[s].coverage);
+    const std::size_t sizes = std::size(fig9HistorySizes);
+    for (std::size_t s = 0; s < sizes; ++s) {
+        ResultValue row = rowOf(fig9HistorySizes[s]);
+        for (std::size_t i = 0; i < opts.workloads.size(); ++i)
+            row.push(coverage[i * sizes + s].at(2));
         rows.push(std::move(row));
     }
-    ResultValue body = ResultValue::object();
-    body.set("tables", ResultValue::array().push(std::move(t)));
-    return body;
+    return tablesBody(ResultValue::array().push(std::move(t)));
 }
 
 // -------------------------------------------------------- Figure 10
 
-ResultValue
-runFig10CoverageBody(const ExperimentSpec &spec, const RunOptions &opts)
+/**
+ * One stage per workload with @p kinds as its points, so only one
+ * workload's Program is live at a time.
+ */
+template <std::size_t N, typename Point>
+std::vector<ExperimentStage>
+perWorkloadKinds(const RunOptions &opts, const PrefetcherKind (&kinds)[N],
+                 Point point)
 {
-    const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
-    const ExperimentBudget budget = budgetOf(spec, opts);
-
-    ResultValue t = makeTable(
-        "L1-I miss coverage, no storage limitation (fraction)",
-        {"group", "workload", "next_line", "tifs", "pif",
-         "baseline_misses"});
-    ResultValue &rows = *t.find("rows");
-    // The inner runner fans one engine per prefetcher over the pool;
-    // the workload loop stays serial to avoid nested fan-out.
-    for (const WorkloadRef &w : ws) {
-        const auto points = runFig10Coverage(w, budget, opts.cfg);
-        double nl = 0.0;
-        double tifs = 0.0;
-        double pif = 0.0;
-        std::uint64_t base = 0;
-        for (const auto &p : points) {
-            base = p.baselineMisses;
-            if (p.kind == PrefetcherKind::NextLine)
-                nl = p.missCoverage;
-            if (p.kind == PrefetcherKind::Tifs)
-                tifs = p.missCoverage;
-            if (p.kind == PrefetcherKind::Pif)
-                pif = p.missCoverage;
+    std::vector<ExperimentStage> stages;
+    for (const WorkloadRef &w : opts.workloads) {
+        ExperimentStage stage;
+        for (const PrefetcherKind kind : kinds) {
+            stage.push_back({w, [=](const WorkloadRef &wl,
+                                    const Program &p) {
+                return point(kind, wl, p);
+            }});
         }
-        ResultValue row = ResultValue::array();
-        pushWorkloadCells(row, w);
-        row.push(nl);
-        row.push(tifs);
-        row.push(pif);
-        row.push(base);
-        rows.push(std::move(row));
+        stages.push_back(std::move(stage));
     }
-    ResultValue body = ResultValue::object();
-    body.set("tables", ResultValue::array().push(std::move(t)));
-    return body;
+    return stages;
+}
+
+/**
+ * Figure 10's rows: per workload, @p relative(result, baseline) for
+ * each non-baseline kind in order, then the baseline result itself.
+ */
+std::vector<ResultValue>
+relativeRows(const RunOptions &opts, const std::vector<ResultValue> &results,
+             std::size_t kinds,
+             double (*relative)(const ResultValue &, const ResultValue &))
+{
+    std::vector<ResultValue> rows;
+    for (std::size_t i = 0; i < opts.workloads.size(); ++i) {
+        const ResultValue &base = results[i * kinds];
+        rows.push_back(workloadRow(opts.workloads[i]));
+        for (std::size_t k = 1; k < kinds; ++k)
+            rows.back().push(relative(results[i * kinds + k], base));
+        rows.back().push(base);
+    }
+    return rows;
+}
+
+/** Figure 10 (left): None is the baseline defining the misses. */
+constexpr PrefetcherKind fig10CoverageKinds[] = {
+    PrefetcherKind::None, PrefetcherKind::NextLine,
+    PrefetcherKind::Tifs, PrefetcherKind::Pif,
+};
+
+std::vector<ExperimentStage>
+fig10CoveragePoints(const RunOptions &opts)
+{
+    return perWorkloadKinds(
+        opts, fig10CoverageKinds,
+        [cfg = opts.cfg, budget = *opts.budget](
+            PrefetcherKind kind, const WorkloadRef &w, const Program &p) {
+            // Section 5.5 compares without storage limitations.
+            return ResultValue(
+                traceRun(cfg, kind, true, w, p, budget).misses);
+        });
 }
 
 ResultValue
-runFig10SpeedupBody(const ExperimentSpec &spec, const RunOptions &opts)
+fig10CoverageReduce(const RunOptions &opts,
+                    const std::vector<ResultValue> &misses)
 {
-    const std::vector<WorkloadRef> ws = workloadsOf(spec, opts);
-    const ExperimentBudget budget = budgetOf(spec, opts);
+    const auto coverage = [](const ResultValue &left,
+                             const ResultValue &base) {
+        const double b = static_cast<double>(base.uintValue());
+        return b == 0.0
+            ? 0.0
+            : std::max(1.0 - static_cast<double>(left.uintValue()) / b,
+                       0.0);
+    };
+    return tablesBody(ResultValue::array().push(tableOf(
+        "L1-I miss coverage, no storage limitation (fraction)",
+        {"group", "workload", "next_line", "tifs", "pif",
+         "baseline_misses"},
+        relativeRows(opts, misses, std::size(fig10CoverageKinds),
+                     coverage))));
+}
 
-    ResultValue t = makeTable(
-        "Speedup over the no-prefetch baseline (UIPC ratio)",
-        {"group", "workload", "next_line", "tifs", "pif", "perfect",
-         "baseline_uipc"});
-    ResultValue &rows = *t.find("rows");
+/** Figure 10 (right): None is the baseline UIPC. */
+constexpr PrefetcherKind fig10SpeedupKinds[] = {
+    PrefetcherKind::None, PrefetcherKind::NextLine, PrefetcherKind::Tifs,
+    PrefetcherKind::Pif, PrefetcherKind::Perfect,
+};
+
+std::vector<ExperimentStage>
+fig10SpeedupPoints(const RunOptions &opts)
+{
+    return perWorkloadKinds(
+        opts, fig10SpeedupKinds,
+        [cfg = opts.cfg, budget = *opts.budget](
+            PrefetcherKind kind, const WorkloadRef &w, const Program &p) {
+            CycleEngine engine(cfg, p, w.executorConfig(), kind);
+            return ResultValue(
+                engine.run(budget.warmup, budget.measure).uipc);
+        });
+}
+
+ResultValue
+fig10SpeedupReduce(const RunOptions &opts,
+                   const std::vector<ResultValue> &uipc)
+{
+    const auto speedup = [](const ResultValue &x, const ResultValue &base) {
+        return base.number() > 0.0 ? x.number() / base.number() : 0.0;
+    };
+    const std::vector<ResultValue> rows = relativeRows(
+        opts, uipc, std::size(fig10SpeedupKinds), speedup);
     double geo_pif = 1.0;
     double geo_perfect = 1.0;
-    for (const WorkloadRef &w : ws) {
-        const auto points = runFig10Speedup(w, budget, opts.cfg);
-        double base_uipc = 0.0;
-        double nl = 0.0;
-        double tifs = 0.0;
-        double pif = 0.0;
-        double perfect = 0.0;
-        for (const auto &p : points) {
-            switch (p.kind) {
-              case PrefetcherKind::None:     base_uipc = p.uipc; break;
-              case PrefetcherKind::NextLine: nl = p.speedup; break;
-              case PrefetcherKind::Tifs:     tifs = p.speedup; break;
-              case PrefetcherKind::Pif:      pif = p.speedup; break;
-              case PrefetcherKind::Perfect:  perfect = p.speedup; break;
-              default: break;
-            }
-        }
-        ResultValue row = ResultValue::array();
-        pushWorkloadCells(row, w);
-        row.push(nl);
-        row.push(tifs);
-        row.push(pif);
-        row.push(perfect);
-        row.push(base_uipc);
-        rows.push(std::move(row));
-        geo_pif *= pif;
-        geo_perfect *= perfect;
+    for (const ResultValue &row : rows) {
+        geo_pif *= row.at(4).number();      // the pif column
+        geo_perfect *= row.at(5).number();  // the perfect column
     }
 
-    const double n = static_cast<double>(ws.size());
-    ResultValue geo = makeTable("Geometric-mean speedup",
-                                {"prefetcher", "speedup"});
-    ResultValue &geo_rows = *geo.find("rows");
-    const auto add = [&geo_rows](const char *name, double product,
-                                 double count) {
-        ResultValue row = ResultValue::array();
-        row.push(name);
-        row.push(count == 1.0 ? product
-                              : std::pow(product, 1.0 / count));
-        geo_rows.push(std::move(row));
+    const double n = static_cast<double>(opts.workloads.size());
+    const auto geomean = [n](double product) {
+        return n == 1.0 ? product : std::pow(product, 1.0 / n);
     };
-    add("PIF", geo_pif, n);
-    add("Perfect", geo_perfect, n);
-
-    ResultValue body = ResultValue::object();
-    body.set("tables", ResultValue::array()
-                           .push(std::move(t))
-                           .push(std::move(geo)));
-    return body;
+    return tablesBody(
+        ResultValue::array()
+            .push(tableOf(
+                "Speedup over the no-prefetch baseline (UIPC ratio)",
+                {"group", "workload", "next_line", "tifs", "pif",
+                 "perfect", "baseline_uipc"},
+                rows))
+            .push(tableOf("Geometric-mean speedup",
+                          {"prefetcher", "speedup"},
+                          {rowOf("PIF", geomean(geo_pif)),
+                           rowOf("Perfect", geomean(geo_perfect))})));
 }
 
 // --------------------------------------------------------- Ablation
 
-ResultValue
-runAblationBody(const ExperimentSpec &spec, const RunOptions &opts)
+constexpr unsigned ablationDepths[] = {1, 2, 4, 8, 16};
+constexpr unsigned ablationSabs[] = {1, 2, 4, 8};
+constexpr unsigned ablationWindows[] = {3, 7, 15};
+constexpr std::uint64_t ablationSharedTotals[] = {8192, 32768};
+constexpr unsigned ablationDegrees[] = {1, 2, 4, 8};
+
+std::vector<ExperimentStage>
+ablationPoints(const RunOptions &opts)
 {
-    // Single-workload study: only the first selection runs, and the
-    // body reports that back so meta.workloads never over-claims.
-    const WorkloadRef w = workloadsOf(spec, opts).front();
-    const ExperimentBudget budget = budgetOf(spec, opts);
-    const Program prog = w.buildProgram();
+    // Single-workload study: only the first selection runs, so every
+    // point shares one Program.
+    const WorkloadRef w = opts.workloads.front();
+    const ExperimentBudget budget = *opts.budget;
     const SystemConfig &base = opts.cfg;
 
-    const auto runPif = [&](const SystemConfig &cfg) {
-        TraceEngine engine(cfg, prog, w.executorConfig(),
-                           std::make_unique<PifPrefetcher>(cfg.pif));
-        return engine.run(budget.warmup, budget.measure);
+    ExperimentStage stage;
+    // One functional run of `kind` under `cfg`, reported by `row`.
+    const auto add = [&](PrefetcherKind kind, const SystemConfig &cfg,
+                         auto row) {
+        stage.push_back({w, [=](const WorkloadRef &wl, const Program &p) {
+            return row(traceRun(cfg, kind, false, wl, p, budget));
+        }});
     };
+    for (const unsigned depth : ablationDepths) {
+        SystemConfig cfg = base;
+        cfg.pif.temporalEntries = depth;
+        add(PrefetcherKind::Pif, cfg, [depth](const TraceRunResult &r) {
+            return rowOf(depth, r.pifCoverage,
+                         static_cast<double>(r.prefetchIssued) * 1000.0 /
+                             static_cast<double>(r.instrs),
+                         r.missRatio());
+        });
+    }
+    for (const unsigned sabs : ablationSabs) {
+        for (const unsigned window : ablationWindows) {
+            SystemConfig cfg = base;
+            cfg.pif.numSabs = sabs;
+            cfg.pif.sabWindowRegions = window;
+            add(PrefetcherKind::Pif, cfg,
+                [sabs, window](const TraceRunResult &r) {
+                    return rowOf(sabs, window, r.pifCoverage,
+                                 r.missRatio());
+                });
+        }
+    }
+    for (const bool separate : {false, true}) {
+        SystemConfig cfg = base;
+        cfg.pif.separateTrapLevels = separate;
+        add(PrefetcherKind::Pif, cfg, [separate](const TraceRunResult &r) {
+            return rowOf(separate, r.pifCoverage, r.missRatio());
+        });
+    }
+    for (const std::uint64_t total : ablationSharedTotals) {
+        stage.push_back({w, [=](const WorkloadRef &wl, const Program &p) {
+            const SharedPifStudyResult r = runSharedPifStudy(
+                wl, p, 4, total, budget.warmup / 2, budget.measure / 2,
+                base);
+            return rowOf(total, r.privateCoverage, r.sharedCoverage,
+                         r.privateMissRatio, r.sharedMissRatio);
+        }});
+    }
+    for (const unsigned degree : ablationDegrees) {
+        SystemConfig cfg = base;
+        cfg.nextLine.degree = degree;
+        add(PrefetcherKind::NextLine, cfg,
+            [degree](const TraceRunResult &r) {
+                const double useful = r.prefetchFills == 0
+                    ? 0.0
+                    : static_cast<double>(r.usefulPrefetches) /
+                      static_cast<double>(r.prefetchFills);
+                return rowOf(degree, r.missRatio(), useful);
+            });
+    }
+    return {stage};
+}
 
+ResultValue
+ablationReduce(const RunOptions &opts, const std::vector<ResultValue> &rows)
+{
+    const WorkloadRef &w = opts.workloads.front();
+    struct Section
+    {
+        std::string title;
+        std::vector<std::string> columns;
+        std::size_t points;
+    };
+    const Section sections[] = {
+        {"Temporal compactor depth (PIF on " + w.name() + ")",
+         {"entries", "coverage", "issued_per_kinst", "miss_ratio"},
+         std::size(ablationDepths)},
+        {"SAB count x window (paper: 4 SABs x 7 regions)",
+         {"sabs", "window", "coverage", "miss_ratio"},
+         std::size(ablationSabs) * std::size(ablationWindows)},
+        {"Trap-level stream separation",
+         {"separate", "coverage", "miss_ratio"}, 2},
+        {"Shared vs private PIF storage (4 cores)",
+         {"total_regions", "private_coverage", "shared_coverage",
+          "private_miss_ratio", "shared_miss_ratio"},
+         std::size(ablationSharedTotals)},
+        {"Next-line degree", {"degree", "miss_ratio", "useful_per_fill"},
+         std::size(ablationDegrees)},
+    };
     ResultValue tables = ResultValue::array();
-
-    {
-        const std::vector<unsigned> depths = {1, 2, 4, 8, 16};
-        std::vector<TraceRunResult> rs(depths.size());
-        parallelFor(base.threads, depths.size(), [&](std::uint64_t i) {
-            SystemConfig cfg = base;
-            cfg.pif.temporalEntries = depths[i];
-            rs[i] = runPif(cfg);
-        });
-        ResultValue t = makeTable(
-            "Temporal compactor depth (PIF on " + w.name() + ")",
-            {"entries", "coverage", "issued_per_kinst", "miss_ratio"});
-        ResultValue &rows = *t.find("rows");
-        for (std::size_t i = 0; i < depths.size(); ++i) {
-            ResultValue row = ResultValue::array();
-            row.push(depths[i]);
-            row.push(rs[i].pifCoverage);
-            row.push(static_cast<double>(rs[i].prefetchIssued) *
-                     1000.0 / static_cast<double>(rs[i].instrs));
-            row.push(rs[i].missRatio());
-            rows.push(std::move(row));
-        }
-        tables.push(std::move(t));
+    auto next = rows.begin();
+    for (const Section &s : sections) {
+        tables.push(tableOf(s.title, s.columns,
+                            std::vector<ResultValue>(next, next + s.points)));
+        next += s.points;
     }
-
-    {
-        struct Grid { unsigned sabs, window; };
-        std::vector<Grid> grid;
-        for (unsigned sabs : {1u, 2u, 4u, 8u})
-            for (unsigned window : {3u, 7u, 15u})
-                grid.push_back({sabs, window});
-        std::vector<TraceRunResult> rs(grid.size());
-        parallelFor(base.threads, grid.size(), [&](std::uint64_t i) {
-            SystemConfig cfg = base;
-            cfg.pif.numSabs = grid[i].sabs;
-            cfg.pif.sabWindowRegions = grid[i].window;
-            rs[i] = runPif(cfg);
-        });
-        ResultValue t = makeTable(
-            "SAB count x window (paper: 4 SABs x 7 regions)",
-            {"sabs", "window", "coverage", "miss_ratio"});
-        ResultValue &rows = *t.find("rows");
-        for (std::size_t i = 0; i < grid.size(); ++i) {
-            ResultValue row = ResultValue::array();
-            row.push(grid[i].sabs);
-            row.push(grid[i].window);
-            row.push(rs[i].pifCoverage);
-            row.push(rs[i].missRatio());
-            rows.push(std::move(row));
-        }
-        tables.push(std::move(t));
-    }
-
-    {
-        std::vector<TraceRunResult> rs(2);
-        parallelFor(base.threads, 2, [&](std::uint64_t i) {
-            SystemConfig cfg = base;
-            cfg.pif.separateTrapLevels = i == 1;
-            rs[i] = runPif(cfg);
-        });
-        ResultValue t = makeTable(
-            "Trap-level stream separation",
-            {"separate", "coverage", "miss_ratio"});
-        ResultValue &rows = *t.find("rows");
-        for (std::size_t i = 0; i < rs.size(); ++i) {
-            ResultValue row = ResultValue::array();
-            row.push(i == 1);
-            row.push(rs[i].pifCoverage);
-            row.push(rs[i].missRatio());
-            rows.push(std::move(row));
-        }
-        tables.push(std::move(t));
-    }
-
-    {
-        const std::vector<std::uint64_t> totals = {8192, 32768};
-        std::vector<SharedPifStudyResult> rs(totals.size());
-        // runSharedPifStudy interleaves its engines itself; keep the
-        // outer loop serial to bound concurrent engine count.
-        for (std::size_t i = 0; i < totals.size(); ++i) {
-            rs[i] = runSharedPifStudy(w, 4, totals[i],
-                                      budget.warmup / 2,
-                                      budget.measure / 2, base);
-        }
-        ResultValue t = makeTable(
-            "Shared vs private PIF storage (4 cores)",
-            {"total_regions", "private_coverage", "shared_coverage",
-             "private_miss_ratio", "shared_miss_ratio"});
-        ResultValue &rows = *t.find("rows");
-        for (std::size_t i = 0; i < totals.size(); ++i) {
-            ResultValue row = ResultValue::array();
-            row.push(totals[i]);
-            row.push(rs[i].privateCoverage);
-            row.push(rs[i].sharedCoverage);
-            row.push(rs[i].privateMissRatio);
-            row.push(rs[i].sharedMissRatio);
-            rows.push(std::move(row));
-        }
-        tables.push(std::move(t));
-    }
-
-    {
-        const std::vector<unsigned> degrees = {1, 2, 4, 8};
-        std::vector<TraceRunResult> rs(degrees.size());
-        parallelFor(base.threads, degrees.size(), [&](std::uint64_t i) {
-            SystemConfig cfg = base;
-            cfg.nextLine.degree = degrees[i];
-            TraceEngine engine(
-                cfg, prog, w.executorConfig(),
-                std::make_unique<NextLinePrefetcher>(cfg.nextLine));
-            rs[i] = engine.run(budget.warmup, budget.measure);
-        });
-        ResultValue t = makeTable(
-            "Next-line degree",
-            {"degree", "miss_ratio", "useful_per_fill"});
-        ResultValue &rows = *t.find("rows");
-        for (std::size_t i = 0; i < degrees.size(); ++i) {
-            const double acc = rs[i].prefetchFills == 0
-                ? 0.0
-                : static_cast<double>(rs[i].usefulPrefetches) /
-                  static_cast<double>(rs[i].prefetchFills);
-            ResultValue row = ResultValue::array();
-            row.push(degrees[i]);
-            row.push(rs[i].missRatio());
-            row.push(acc);
-            rows.push(std::move(row));
-        }
-        tables.push(std::move(t));
-    }
-
-    ResultValue body = ResultValue::object();
-    body.set("tables", std::move(tables));
-    body.set("workloads",
-             ResultValue::array().push(w.key()));
+    ResultValue body = tablesBody(std::move(tables));
+    // Report the one workload run so meta.workloads never over-claims.
+    body.set("workloads", ResultValue::array().push(w.key()));
     return body;
 }
 
@@ -667,6 +866,67 @@ engineBudget()
     b.warmup = 1'500'000;
     b.measure = 6'000'000;
     return b;
+}
+
+// -------------------------------------------------------- scheduler
+
+/** Same workload by identity: one preset, or one lowered spec. */
+bool
+sameWorkload(const WorkloadRef &a, const WorkloadRef &b)
+{
+    return a.isSpec() ? a.lowered() == b.lowered()
+                      : !b.isSpec() && a.preset() == b.preset();
+}
+
+/**
+ * Run @p stages in order on one pool of min(threads, largest stage)
+ * lanes and return every point's result in stage-then-point order.
+ * Each point writes its own slot, so the results do not depend on the
+ * lane count. Program rule: see registry.hh.
+ */
+std::vector<ResultValue>
+runStages(const std::vector<ExperimentStage> &stages, unsigned threads)
+{
+    std::size_t total = 0;
+    std::size_t largest = 1;
+    for (const ExperimentStage &stage : stages) {
+        total += stage.size();
+        largest = std::max(largest, stage.size());
+    }
+    ThreadPool pool(static_cast<unsigned>(
+        std::min<std::size_t>(resolveThreads(threads), largest)));
+
+    std::vector<ResultValue> results(total);
+    std::size_t first = 0;
+    for (const ExperimentStage &stage : stages) {
+        std::optional<Program> shared;
+        if (!stage.empty() &&
+            std::all_of(stage.begin(), stage.end(),
+                        [&](const ExperimentPoint &p) {
+                            return sameWorkload(p.workload,
+                                                stage.front().workload);
+                        }))
+            shared.emplace(stage.front().workload.buildProgram());
+        pool.parallelFor(stage.size(), [&](std::uint64_t i) {
+            const ExperimentPoint &p = stage[i];
+            results[first + i] = shared
+                ? p.run(p.workload, *shared)
+                : p.run(p.workload, p.workload.buildProgram());
+        });
+        first += stage.size();
+    }
+    return results;
+}
+
+/** @p opts with the spec's default workloads and budget filled in. */
+RunOptions
+resolvedOptions(const ExperimentSpec &spec, RunOptions opts)
+{
+    if (opts.workloads.empty())
+        opts.workloads = spec.defaultWorkloads;
+    if (!opts.budget)
+        opts.budget = spec.defaultBudget;
+    return opts;
 }
 
 } // namespace
@@ -685,28 +945,30 @@ experimentRegistry()
             "System and application parameters (Table I) plus the "
             "Section 5.4 predictor storage model",
             "",
-            all, engineBudget(), runTable1});
+            all, engineBudget(), table1Points, table1Reduce});
         specs.push_back({
             "fig2-streams",
             "Correctly predicted correct-path L1-I misses at the four "
             "stream observation points (Figure 2)",
             "paper shape: Miss < Access < Retire < RetireSep; "
             "RetireSep near-perfect",
-            all, engineBudget(), runFig2Body});
+            all, engineBudget(), fig2Points, fig2Reduce});
         specs.push_back({
             "fig3-regions",
             "Spatial region density and discontinuous access groups "
             "(Figure 3)",
             "paper shape: >50% of regions access more than one block; "
             "about a fifth observe discontinuous accesses",
-            all, engineBudget(), runFig3Body});
+            all, engineBudget(), fig3Points, fig3Reduce});
         specs.back().usesConfig = false;
         specs.push_back({
             "fig7-jumpdist",
             "Coverage-weighted jump distance in history (Figure 7)",
             "paper shape: medium-aged and old streams contribute as "
             "many correct predictions as recent streams",
-            all, engineBudget(), runFig7Body});
+            all, engineBudget(), fig7Points,
+            cumulativeReduce(fig7Buckets, "Weighted jump distance in "
+                                          "history (cumulative fraction)")});
         specs.back().usesConfig = false;
         specs.push_back({
             "fig8-offsets",
@@ -715,7 +977,7 @@ experimentRegistry()
             "paper shape: +1/+2 dominate; frequency decays with "
             "distance; backward accesses occur with significant "
             "frequency",
-            all, engineBudget(), runFig8LeftBody});
+            all, engineBudget(), fig8LeftPoints, fig8LeftReduce});
         specs.back().usesConfig = false;
         specs.push_back({
             "fig8-regionsize",
@@ -723,14 +985,18 @@ experimentRegistry()
             "(Figure 8 right)",
             "paper shape: TL0 grows slightly with region size; TL1 "
             "improves significantly",
-            all, engineBudget(), runFig8RightBody});
+            all, engineBudget(), fig8RightPoints, fig8RightReduce});
         specs.push_back({
             "fig9-streamlen",
             "Correct predictions by temporal stream length "
             "(Figure 9 left)",
             "paper shape: medium and long streams contribute more "
             "correct predictions than short streams",
-            all, engineBudget(), runFig9LeftBody});
+            all, engineBudget(), fig9LeftPoints,
+            cumulativeReduce(fig9LeftBuckets,
+                             "Correct predictions by temporal stream "
+                             "length (cumulative fraction, log2 "
+                             "regions)")});
         specs.back().usesConfig = false;
         specs.push_back({
             "fig9-history",
@@ -738,28 +1004,28 @@ experimentRegistry()
             "(Figure 9 right)",
             "paper shape: coverage rises monotonically with storage; "
             "little justification beyond 32K regions",
-            all, engineBudget(), runFig9RightBody});
+            all, engineBudget(), fig9RightPoints, fig9RightReduce});
         specs.push_back({
             "fig10-coverage",
             "L1-I miss coverage of Next-Line, TIFS and PIF without "
             "storage limitations (Figure 10 left)",
             "paper shape: PIF nearly perfect across all workloads; "
             "TIFS 65-90%; next-line below TIFS",
-            all, engineBudget(), runFig10CoverageBody});
+            all, engineBudget(), fig10CoveragePoints, fig10CoverageReduce});
         specs.push_back({
             "fig10-speedup",
             "UIPC speedup over the no-prefetch baseline "
             "(Figure 10 right)",
             "paper shape: Next-Line < TIFS < PIF ~= Perfect "
             "(paper: PIF +27% avg, perfect +29%)",
-            all, engineBudget(), runFig10SpeedupBody});
+            all, engineBudget(), fig10SpeedupPoints, fig10SpeedupReduce});
         specs.push_back({
             "ablation",
             "Design-space ablations: temporal compactor depth, SAB "
             "grid, trap separation, shared storage, next-line degree",
             "",
-            {ServerWorkload::OltpDb2}, engineBudget(),
-            runAblationBody});
+            {ServerWorkload::OltpDb2}, engineBudget(), ablationPoints,
+            ablationReduce});
         return specs;
     }();
     return registry;
@@ -801,13 +1067,15 @@ configToResult(const SystemConfig &cfg)
 }
 
 ResultValue
-runExperiment(const ExperimentSpec &spec, const RunOptions &opts)
+runExperiment(const ExperimentSpec &spec, const RunOptions &request)
 {
-    const ExperimentBudget budget = budgetOf(spec, opts);
-    ResultValue body = spec.run(spec, opts);
+    const RunOptions opts = resolvedOptions(spec, request);
+    const ExperimentBudget &budget = *opts.budget;
+    ResultValue body =
+        spec.reduce(opts, runStages(spec.points(opts), opts.cfg.threads));
 
     ResultValue meta = ResultValue::object();
-    // Analysis-only runners never read the system config and make a
+    // Analysis-only studies never read the system config and make a
     // single pass of `measure` instructions; omitting seed/config/
     // warmup keeps the provenance honest (they had no effect).
     if (spec.usesConfig) {
@@ -823,7 +1091,7 @@ runExperiment(const ExperimentSpec &spec, const RunOptions &opts)
         meta.set("workloads", std::move(*used));
     } else {
         ResultValue workloads = ResultValue::array();
-        for (const WorkloadRef &w : workloadsOf(spec, opts))
+        for (const WorkloadRef &w : opts.workloads)
             workloads.push(w.key());
         meta.set("workloads", std::move(workloads));
     }
@@ -834,13 +1102,8 @@ runExperiment(const ExperimentSpec &spec, const RunOptions &opts)
     doc.set("experiment", spec.name);
     doc.set("description", spec.description);
     doc.set("meta", std::move(meta));
-    if (ResultValue *tables = body.find("tables"))
-        doc.set("tables", std::move(*tables));
+    doc.set("tables", std::move(*body.find("tables")));
     ResultValue notes = ResultValue::array();
-    if (const ResultValue *body_notes = body.find("notes")) {
-        for (std::size_t i = 0; i < body_notes->size(); ++i)
-            notes.push(body_notes->at(i));
-    }
     if (!spec.paperShape.empty())
         notes.push(spec.paperShape);
     doc.set("notes", std::move(notes));
@@ -1088,29 +1351,23 @@ goldenJson(const GoldenEntry &entry, unsigned threads)
     if (!spec)
         panic("golden entry references unknown experiment");
 
-    RunOptions opts = entry.options;
+    RunOptions opts = resolvedOptions(*spec, entry.options);
     opts.cfg.threads = threads;
-    const ExperimentBudget budget = opts.budget ? *opts.budget
-                                                : spec->defaultBudget;
-    ResultValue body = spec->run(*spec, opts);
+    ResultValue full = runExperiment(*spec, opts);
 
     // Pinned metadata only: nothing that varies with checkout, host
     // or PIFETCH_THREADS may reach the fixture bytes.
     ResultValue meta = ResultValue::object();
     meta.set("mode", "golden");
     meta.set("seed", opts.cfg.seed);
-    meta.set("warmup", budget.warmup);
-    meta.set("measure", budget.measure);
-    ResultValue workloads = ResultValue::array();
-    for (const WorkloadRef &w : opts.workloads)
-        workloads.push(w.key());
-    meta.set("workloads", std::move(workloads));
+    meta.set("warmup", opts.budget->warmup);
+    meta.set("measure", opts.budget->measure);
+    meta.set("workloads", std::move(*full.find("meta")->find("workloads")));
 
     ResultValue doc = ResultValue::object();
     doc.set("experiment", spec->name);
     doc.set("meta", std::move(meta));
-    if (ResultValue *tables = body.find("tables"))
-        doc.set("tables", std::move(*tables));
+    doc.set("tables", std::move(*full.find("tables")));
     return toJson(doc, 2) + "\n";
 }
 

@@ -4,11 +4,18 @@
  * evaluation as a named, uniformly-invocable entry.
  *
  * Each ExperimentSpec couples a name, a description, a default
- * workload set and instruction budget, and a runner that produces a
- * structured ResultValue document (see common/results.hh). The bench
- * binaries, the `pifetch` CLI and the golden-snapshot regression
- * suite all go through this table, so a new scenario is a registry
- * entry instead of a new binary.
+ * workload set and instruction budget, the run's simulation points
+ * and a pure reduction of their results into a structured ResultValue
+ * document (see common/results.hh). The `pifetch` CLI, the sweep
+ * service and the golden-snapshot regression suite all go through
+ * this table, so a new scenario is a registry entry.
+ *
+ * One scheduler runs a spec's stages in order on one ThreadPool per
+ * runExperiment() call, each point writing a fixed result slot, so
+ * documents are bit-identical at any thread count. A stage whose
+ * points share one workload builds its Program once, up front; in a
+ * multi-workload stage each point builds its own (docs/building.md,
+ * "Threading model").
  *
  * Result document convention:
  * {
@@ -32,10 +39,17 @@
 #include <vector>
 
 #include "common/results.hh"
-#include "sim/experiment.hh"
+#include "sim/system_config.hh"
 #include "sim/workloads.hh"
 
 namespace pifetch {
+
+/** Default instruction budgets for the experiments. */
+struct ExperimentBudget
+{
+    InstCount warmup = 2'000'000;
+    InstCount measure = 8'000'000;
+};
 
 /** Options for one registry invocation. */
 struct RunOptions
@@ -56,6 +70,20 @@ struct RunOptions
     SystemConfig cfg;
 };
 
+/**
+ * One independent simulation point: the workload it runs and a
+ * function of that workload and its Program returning one small
+ * result (a table row, a few cells or a single number).
+ */
+struct ExperimentPoint
+{
+    WorkloadRef workload;
+    std::function<ResultValue(const WorkloadRef &, const Program &)> run;
+};
+
+/** Points that may run concurrently; a run's stages run in order. */
+using ExperimentStage = std::vector<ExperimentPoint>;
+
 /** One registered experiment. */
 struct ExperimentSpec
 {
@@ -65,12 +93,24 @@ struct ExperimentSpec
     std::vector<WorkloadRef> defaultWorkloads;
     ExperimentBudget defaultBudget;
 
-    /** Produce the document body ("tables", optionally extra keys). */
-    std::function<ResultValue(const ExperimentSpec &,
-                              const RunOptions &)> run;
+    /**
+     * The run's points as ordered stages. @p opts arrives resolved:
+     * its workloads and budget are filled in from the defaults.
+     */
+    std::function<std::vector<ExperimentStage>(const RunOptions &opts)>
+        points;
 
     /**
-     * Whether the runner consumes RunOptions.cfg. Analysis-only
+     * Pure: the document body ("tables", optionally "workloads") from
+     * the same resolved options and every point's result, in stage
+     * then point order.
+     */
+    std::function<ResultValue(const RunOptions &opts,
+                              const std::vector<ResultValue> &results)>
+        reduce;
+
+    /**
+     * Whether the points consume RunOptions.cfg. Analysis-only
      * studies (Fig. 3, 7, 8-left, 9-left) take just a workload and an
      * instruction count; their meta omits seed/config so the JSON
      * artifact never claims settings that had no effect.

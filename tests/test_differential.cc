@@ -149,31 +149,6 @@ TEST_P(PresetDifferential, MulticoreTraceIsThreadCountInvariant)
         ADD_FAILURE() << workloadKey(w) << ": " << f.detail;
 }
 
-TEST_P(PresetDifferential, MulticoreCycleIsThreadCountInvariant)
-{
-    const ServerWorkload w = GetParam();
-    SystemConfig serial;
-    serial.threads = 1;
-    SystemConfig pooled;
-    pooled.threads = 4;
-
-    const MulticoreCycleResult a = runMulticoreCycle(
-        w, PrefetcherKind::Pif, 2, kWarmup / 2, kMeasure / 2, serial);
-    const MulticoreCycleResult b = runMulticoreCycle(
-        w, PrefetcherKind::Pif, 2, kWarmup / 2, kMeasure / 2, pooled);
-
-    ASSERT_EQ(a.perCore.size(), b.perCore.size());
-    for (std::size_t core = 0; core < a.perCore.size(); ++core) {
-        EXPECT_EQ(a.perCore[core].cycles, b.perCore[core].cycles)
-            << workloadKey(w) << " core " << core;
-        EXPECT_EQ(a.perCore[core].demandMisses,
-                  b.perCore[core].demandMisses)
-            << workloadKey(w) << " core " << core;
-        EXPECT_DOUBLE_EQ(a.perCore[core].uipc, b.perCore[core].uipc)
-            << workloadKey(w) << " core " << core;
-    }
-}
-
 TEST_P(PresetDifferential, WindowedOraclesAgreeAcrossEngines)
 {
     const ServerWorkload w = GetParam();

@@ -47,16 +47,6 @@ TEST(Multicore, PifImprovesMeanAcrossCores)
     EXPECT_GT(pif.meanPifCoverage(), 0.7);
 }
 
-TEST(Multicore, CycleRunnerAveragesUipc)
-{
-    const auto res = runMulticoreCycle(ServerWorkload::OltpDb2,
-                                       PrefetcherKind::None, 2,
-                                       100'000, 200'000);
-    ASSERT_EQ(res.perCore.size(), 2u);
-    EXPECT_GT(res.meanUipc(), 0.1);
-    EXPECT_GT(res.totalUserInstrs(), 300'000u);
-}
-
 TEST(Multicore, DeterministicAcrossInvocations)
 {
     const auto a = runMulticoreTrace(ServerWorkload::DssQry17,
@@ -113,38 +103,12 @@ TEST(Multicore, TraceRunnerBitIdenticalAcrossThreadCounts)
     expectSameTraceResults(serial, parallel);
 }
 
-TEST(Multicore, CycleRunnerBitIdenticalAcrossThreadCounts)
-{
-    SystemConfig serial_cfg;
-    serial_cfg.threads = 1;
-    SystemConfig parallel_cfg;
-    parallel_cfg.threads = 3;
-
-    const auto serial = runMulticoreCycle(ServerWorkload::WebApache,
-                                          PrefetcherKind::Tifs, 3,
-                                          80'000, 150'000, serial_cfg);
-    const auto parallel = runMulticoreCycle(ServerWorkload::WebApache,
-                                            PrefetcherKind::Tifs, 3,
-                                            80'000, 150'000,
-                                            parallel_cfg);
-    ASSERT_EQ(serial.perCore.size(), parallel.perCore.size());
-    for (std::size_t c = 0; c < serial.perCore.size(); ++c) {
-        EXPECT_EQ(serial.perCore[c].userInstrs,
-                  parallel.perCore[c].userInstrs);
-        EXPECT_EQ(serial.perCore[c].cycles, parallel.perCore[c].cycles);
-        EXPECT_DOUBLE_EQ(serial.perCore[c].uipc,
-                         parallel.perCore[c].uipc);
-    }
-}
-
 TEST(Multicore, EmptyResultIsSafe)
 {
     MulticoreTraceResult empty;
     EXPECT_DOUBLE_EQ(empty.meanMissRatio(), 0.0);
     EXPECT_DOUBLE_EQ(empty.meanPifCoverage(), 0.0);
     EXPECT_EQ(empty.totalMisses(), 0u);
-    MulticoreCycleResult empty_cycle;
-    EXPECT_DOUBLE_EQ(empty_cycle.meanUipc(), 0.0);
 }
 
 } // namespace
