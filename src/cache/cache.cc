@@ -25,8 +25,7 @@ checkedSets(const CacheConfig &cfg)
 
 } // namespace
 
-Cache::Cache(const CacheConfig &cfg, ReplacementKind repl,
-             std::uint64_t seed)
+Cache::Cache(const CacheConfig &cfg, ReplacementKind, std::uint64_t)
     : sets_(checkedSets(cfg)),
       ways_(cfg.assoc),
       stats_(cfg.name),
@@ -46,10 +45,7 @@ Cache::Cache(const CacheConfig &cfg, ReplacementKind repl,
     tags_.assign(sets_ * ways_, invalidAddr);
     valid_.assign(sets_ * ways_, 0);
     prefetched_.assign(sets_ * ways_, 0);
-    if (repl == ReplacementKind::LRU)
-        stamp_.assign(sets_ * ways_, 0);
-    else
-        repl_ = makeReplacement(repl, sets_, ways_, seed);
+    stamp_.assign(sets_ * ways_, 0);
 }
 
 Cache::AccessResult
@@ -156,8 +152,6 @@ Cache::flush()
     std::fill(prefetched_.begin(), prefetched_.end(), 0);
     std::fill(stamp_.begin(), stamp_.end(), 0);
     tick_ = 0;
-    if (repl_)
-        repl_->reset();
 }
 
 std::uint64_t

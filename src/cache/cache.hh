@@ -13,23 +13,23 @@
  * bits live in parallel vectors so the way scan in probe()/access() —
  * the hottest loop in batched replay — reads one dense tag run per set
  * and resolves the match with a conditional move instead of an early
- * exit branch per way. LRU recency is kept inline (per-line stamps)
- * with semantics identical to LruPolicy; the virtual policy object is
- * instantiated only for Random replacement.
+ * exit branch per way. Replacement is true LRU, kept inline as
+ * per-line use stamps (lowest stamp is the victim, first way on ties).
  */
 
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "cache/replacement.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
 namespace pifetch {
+
+/** Replacement policy selector; true LRU is the only policy modelled. */
+enum class ReplacementKind { LRU };
 
 /**
  * A single-level, set-associative, block-addressed cache.
@@ -52,6 +52,10 @@ class Cache
         bool firstDemandOfPrefetch = false;
     };
 
+    /**
+     * The replacement kind and seed are accepted for source
+     * compatibility and ignored: LRU needs no seed.
+     */
     Cache(const CacheConfig &cfg,
           ReplacementKind repl = ReplacementKind::LRU,
           std::uint64_t seed = 0xc0ffee);
@@ -148,24 +152,17 @@ class Cache
         return way;
     }
 
-    /** Record a use of @p way (inline LRU stamp or policy object). */
+    /** Record a use of @p way. */
     void
     touchWay(std::uint64_t set, unsigned way)
     {
-        if (repl_)
-            repl_->touch(set, way);
-        else
-            stamp_[set * ways_ + way] = ++tick_;
+        stamp_[set * ways_ + way] = ++tick_;
     }
 
-    /** Choose the eviction victim way in @p set. */
+    /** Choose the LRU victim way in @p set (first way on ties). */
     unsigned
-    victimWay(std::uint64_t set)
+    victimWay(std::uint64_t set) const
     {
-        if (repl_)
-            return repl_->victim(set);
-        // Inline true-LRU: lowest stamp wins, first index on ties —
-        // exactly LruPolicy::victim.
         const std::uint64_t base = set * ways_;
         unsigned best = 0;
         std::uint64_t best_stamp = stamp_[base];
@@ -187,12 +184,9 @@ class Cache
     std::vector<std::uint8_t> valid_;
     std::vector<std::uint8_t> prefetched_;
 
-    /** Inline LRU state (unused when a policy object is installed). */
+    /** LRU state: per-line last-use tick. */
     std::vector<std::uint64_t> stamp_;
     std::uint64_t tick_ = 0;
-
-    /** Non-LRU replacement only (null selects the inline LRU). */
-    std::unique_ptr<ReplacementPolicy> repl_;
 
     StatGroup stats_;
     Counter hits_;

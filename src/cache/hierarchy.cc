@@ -27,7 +27,7 @@ l2Config(const MemoryConfig &cfg)
 MemoryHierarchy::MemoryHierarchy(const MemoryConfig &cfg)
     : l2HitLatency_(cfg.l2HitLatency + cfg.interconnectLatency),
       memLatency_(cfg.memLatency + cfg.interconnectLatency),
-      l2_(l2Config(cfg), ReplacementKind::LRU)
+      l2_(l2Config(cfg))
 {
 }
 

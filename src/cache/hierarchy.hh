@@ -8,7 +8,7 @@
  * both demand misses and prefetches flow through here, so prefetch
  * traffic warms (and can pollute) the L2 exactly as in the paper's
  * simulated machine. Inter-core interconnect contention is folded into
- * the L2 hit latency (see DESIGN.md substitution #3).
+ * the L2 hit latency (modelling substitution #3, docs/paper_map.md).
  */
 
 #pragma once

@@ -12,7 +12,7 @@
 #include <type_traits>
 
 #include "common/parallel.hh"
-#include "pif/shared_pif.hh"
+#include "sim/multicore.hh"
 #include "sim/workloads.hh"
 
 namespace pifetch {
@@ -149,20 +149,20 @@ struct SharedPifRun
 };
 
 /**
- * Two cores of the same program interleaving through one shared PIF
- * storage pool (the Section 4 shared-storage path, serial by design).
+ * Two cores of the same program interleaving through one shared
+ * PifHistory (the Section 4 shared-storage path, serial by design).
  */
 SharedPifRun
 sharedPifRun(const Scenario &sc, const LoweredWorkload *lw,
              const Program &prog)
 {
     constexpr unsigned cores = 2;
-    auto storage = std::make_shared<SharedPifStorage>(sc.cfg.pif);
+    auto history = std::make_shared<PifHistory>(sc.cfg.pif);
 
     std::vector<std::unique_ptr<TraceEngine>> engines;
-    std::vector<SharedPifPrefetcher *> prefetchers;
+    std::vector<PifPrefetcher *> prefetchers;
     for (unsigned core = 0; core < cores; ++core) {
-        auto pf = std::make_unique<SharedPifPrefetcher>(storage);
+        auto pf = std::make_unique<PifPrefetcher>(sc.cfg.pif, history);
         prefetchers.push_back(pf.get());
         SystemConfig cfg = sc.cfg;
         cfg.seed = sc.cfg.seed + core * 7919;
@@ -173,15 +173,7 @@ sharedPifRun(const Scenario &sc, const LoweredWorkload *lw,
             cfg, prog, exec, std::move(pf)));
     }
 
-    const InstCount total = (sc.warmup + sc.measure) / 2;
-    constexpr InstCount chunk = 2'000;
-    InstCount done = 0;
-    while (done < total) {
-        const InstCount step = std::min(chunk, total - done);
-        for (auto &engine : engines)
-            engine->advance(step);
-        done += step;
-    }
+    interleave(engines, (sc.warmup + sc.measure) / 2, 2'000);
 
     SharedPifRun run;
     for (unsigned core = 0; core < cores; ++core) {
@@ -191,7 +183,7 @@ sharedPifRun(const Scenario &sc, const LoweredWorkload *lw,
             engines[core]->frontend().correctPathMisses());
         run.coverage.push_back(prefetchers[core]->coverage());
     }
-    run.regionsRecorded = storage->regionsRecorded();
+    run.regionsRecorded = history->regionsRecorded();
     return run;
 }
 

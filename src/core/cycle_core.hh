@@ -13,9 +13,10 @@
  *    behaves like a long-latency load blocking retirement).
  *
  * This is intentionally a model, not a pipeline simulator: per
- * DESIGN.md substitution #1, the paper's Figure 10 (right) compares
- * configurations whose only difference is how many fetch-stall cycles
- * remain exposed, which this model captures directly. UIPC counts
+ * modelling substitution #1 (docs/paper_map.md), the paper's
+ * Figure 10 (right) compares configurations whose only difference is
+ * how many fetch-stall cycles remain exposed, which this model
+ * captures directly. UIPC counts
  * trap-level-0 instructions only, matching the paper's user-IPC
  * metric.
  */

@@ -100,7 +100,7 @@ isEngineFile(const std::string &path)
     return false;
 }
 
-/** Files holding concrete prefetcher/predictor/policy types. */
+/** Files holding concrete prefetcher/predictor types. */
 bool
 isConcreteTypeFile(const std::string &path)
 {
@@ -110,8 +110,7 @@ isConcreteTypeFile(const std::string &path)
     for (const char *p : prefixes)
         if (startsWith(path, p))
             return true;
-    return path == "src/cache/replacement.hh" ||
-           path == "src/cache/replacement.cc";
+    return false;
 }
 
 void

@@ -64,8 +64,9 @@ struct SourceFile
  * Today: the names of variables/members declared with an unordered
  * container type, so iteration in a .cc over a member declared in
  * its header is still caught. A declaration only applies to files
- * sharing its path stem (mshr.cc <-> mshr.hh): matching on the bare
- * name repo-wide would flag every same-named vector elsewhere.
+ * sharing its path stem (cycle_engine.cc <-> cycle_engine.hh):
+ * matching on the bare name repo-wide would flag every same-named
+ * vector elsewhere.
  */
 struct LintContext
 {
@@ -77,7 +78,10 @@ struct LintContext
                         const std::string &stem) const;
 };
 
-/** @p path without its extension: "src/cache/mshr.cc" -> ".../mshr". */
+/**
+ * @p path without its extension:
+ * "src/sim/cycle_engine.cc" -> ".../cycle_engine".
+ */
 std::string pathStem(const std::string &path);
 
 /** Self-test fixture: @p bad must fire the rule, @p good must not. */

@@ -246,7 +246,7 @@ runCacheLookup(const PerfOptions &opts)
     }
 
     SystemConfig cfg;
-    Cache l1i(cfg.l1i, ReplacementKind::LRU, opts.seed);
+    Cache l1i(cfg.l1i);
     MemoryHierarchy hierarchy(cfg.memory);
     return measureKernel("cache-lookup", opts.protocol, n,
                          n * blockBytes, [&] {

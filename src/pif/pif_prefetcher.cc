@@ -9,40 +9,89 @@
 
 namespace pifetch {
 
-PifPrefetcher::PifPrefetcher(const PifConfig &cfg, bool unbounded_storage)
-    : cfg_(cfg)
+PifHistory::PifHistory(const PifConfig &cfg, bool unbounded_storage)
 {
-    const unsigned num_chains = cfg_.separateTrapLevels ? 2 : 1;
+    const unsigned num_chains = cfg.separateTrapLevels ? 2 : 1;
+    histories_.reserve(num_chains);
+    indexes_.reserve(num_chains);
     for (unsigned c = 0; c < num_chains; ++c) {
-        Chain chain;
-        chain.spatial = std::make_unique<SpatialCompactor>(cfg_);
-        chain.temporal =
-            std::make_unique<TemporalCompactor>(cfg_.temporalEntries);
         std::uint64_t hist_cap = 0;
         unsigned index_entries = 0;
         if (!unbounded_storage) {
             if (num_chains == 2) {
                 // Handlers are compact: give TL1 1/8 of the capacity.
-                hist_cap = (c == 0) ? cfg_.historyRegions * 7 / 8
-                                    : cfg_.historyRegions / 8;
+                hist_cap = (c == 0) ? cfg.historyRegions * 7 / 8
+                                    : cfg.historyRegions / 8;
                 index_entries = (c == 0)
-                    ? cfg_.indexEntries * 7 / 8
-                    : cfg_.indexEntries / 8;
+                    ? cfg.indexEntries * 7 / 8
+                    : cfg.indexEntries / 8;
                 // Keep set geometry valid (power-of-two sets).
                 index_entries = std::max(index_entries,
-                                         cfg_.indexAssoc * 2);
-                unsigned sets = index_entries / cfg_.indexAssoc;
+                                         cfg.indexAssoc * 2);
+                unsigned sets = index_entries / cfg.indexAssoc;
                 while (sets & (sets - 1))
                     --sets;
-                index_entries = sets * cfg_.indexAssoc;
+                index_entries = sets * cfg.indexAssoc;
             } else {
-                hist_cap = cfg_.historyRegions;
-                index_entries = cfg_.indexEntries;
+                hist_cap = cfg.historyRegions;
+                index_entries = cfg.indexEntries;
             }
         }
-        chain.history = std::make_unique<HistoryBuffer>(hist_cap);
-        chain.index = std::make_unique<IndexTable>(index_entries,
-                                                   cfg_.indexAssoc);
+        histories_.emplace_back(hist_cap);
+        indexes_.emplace_back(index_entries, cfg.indexAssoc);
+    }
+}
+
+std::uint64_t
+PifHistory::regionsRecorded() const
+{
+    std::uint64_t n = 0;
+    for (const HistoryBuffer &h : histories_)
+        n += h.appended();
+    return n;
+}
+
+void
+PifHistory::reset()
+{
+    for (HistoryBuffer &h : histories_)
+        h.reset();
+    for (IndexTable &t : indexes_)
+        t.reset();
+}
+
+namespace {
+
+/** A history for one prefetcher's exclusive use. */
+std::shared_ptr<PifHistory>
+makeHistory(const PifConfig &cfg, bool unbounded_storage)
+{
+    return std::make_shared<PifHistory>(cfg, unbounded_storage);
+}
+
+} // namespace
+
+PifPrefetcher::PifPrefetcher(const PifConfig &cfg, bool unbounded_storage)
+    : PifPrefetcher(cfg, makeHistory(cfg, unbounded_storage))
+{
+    ownsHistory_ = true;
+}
+
+PifPrefetcher::PifPrefetcher(const PifConfig &cfg,
+                             std::shared_ptr<PifHistory> history)
+    : cfg_(cfg), history_(std::move(history))
+{
+    const unsigned num_chains = cfg_.separateTrapLevels ? 2 : 1;
+    if (!history_ || history_->chains() != num_chains)
+        panic("PIF history chain count disagrees with "
+              "separateTrapLevels");
+    for (unsigned c = 0; c < num_chains; ++c) {
+        Chain chain;
+        chain.spatial = std::make_unique<SpatialCompactor>(cfg_);
+        chain.temporal =
+            std::make_unique<TemporalCompactor>(cfg_.temporalEntries);
+        chain.history = &history_->history(c);
+        chain.index = &history_->index(c);
         chains_.push_back(std::move(chain));
     }
 
@@ -64,15 +113,6 @@ PifPrefetcher::coverage() const
                             static_cast<double>(tot);
 }
 
-std::uint64_t
-PifPrefetcher::regionsRecorded() const
-{
-    std::uint64_t n = 0;
-    for (const Chain &c : chains_)
-        n += c.history->appended();
-    return n;
-}
-
 void
 PifPrefetcher::resetStats()
 {
@@ -90,9 +130,9 @@ PifPrefetcher::reset()
     for (Chain &c : chains_) {
         c.spatial->reset();
         c.temporal->reset();
-        c.history->reset();
-        c.index->reset();
     }
+    if (ownsHistory_)
+        history_->reset();
     for (StreamAddressBuffer &sab : sabs_)
         sab.deactivate();
     streamLo_ = invalidAddr;

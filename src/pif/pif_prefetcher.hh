@@ -6,6 +6,10 @@
  * and temporal compactors feeding per-trap-level history buffers and
  * index tables, plus a shared pool of stream address buffers that
  * monitor front-end fetches and issue prefetch candidates.
+ *
+ * The history buffers and index tables form PifHistory, which a
+ * prefetcher either owns (the paper's dedicated per-core storage) or
+ * shares with other cores' prefetchers (the Section 4 extension).
  */
 
 #pragma once
@@ -28,6 +32,62 @@
 namespace pifetch {
 
 /**
+ * The recording half of PIF (Section 4.2): one history buffer and one
+ * index table per recording chain (two chains when
+ * cfg.separateTrapLevels is set, else one).
+ *
+ * The paper evaluates "completely independent dedicated predictor
+ * hardware for each core" and defers sharing the storage across cores
+ * (Section 4). Building several PifPrefetchers over one shared
+ * PifHistory models that deferred design: a stream recorded by one
+ * core replays on every other core, while compactors and SABs, which
+ * track per-core execution state, stay private. Simulation is
+ * sequential, so no synchronization is modelled.
+ */
+class PifHistory
+{
+  public:
+    /**
+     * @param cfg PIF parameters; historyRegions/indexEntries size the
+     *        total capacity, split 7/8 : 1/8 between TL0 and TL1 when
+     *        trap levels are separate.
+     * @param unbounded_storage Remove all capacity limits (the
+     *        Figure 10 "no storage limitation" configuration).
+     */
+    explicit PifHistory(const PifConfig &cfg,
+                        bool unbounded_storage = false);
+
+    /** Number of recording chains. */
+    std::size_t chains() const { return histories_.size(); }
+
+    /** History buffer of recording chain @p chain. */
+    HistoryBuffer &history(std::size_t chain) { return histories_[chain]; }
+    const HistoryBuffer &history(std::size_t chain) const
+    {
+        return histories_[chain];
+    }
+
+    /** Index table of recording chain @p chain. */
+    IndexTable &index(std::size_t chain) { return indexes_[chain]; }
+    const IndexTable &index(std::size_t chain) const
+    {
+        return indexes_[chain];
+    }
+
+    /** Regions recorded over all chains (and all sharing cores). */
+    std::uint64_t regionsRecorded() const;
+
+    /** Drop all recorded history. */
+    void reset();
+
+  private:
+    // Sized once at construction and never resized, so the raw
+    // pointers PifPrefetcher keeps into them stay valid.
+    std::vector<HistoryBuffer> histories_;
+    std::vector<IndexTable> indexes_;
+};
+
+/**
  * The complete PIF mechanism as an engine-pluggable Prefetcher.
  *
  * With cfg.separateTrapLevels set (the RetireSep configuration of
@@ -45,6 +105,16 @@ class PifPrefetcher final : public Prefetcher
      */
     explicit PifPrefetcher(const PifConfig &cfg,
                            bool unbounded_storage = false);
+
+    /**
+     * A prefetcher recording into and replaying from @p history, which
+     * other cores' prefetchers may share. reset() leaves it intact.
+     *
+     * @param cfg PIF design parameters; must agree with @p history on
+     *        separateTrapLevels.
+     */
+    PifPrefetcher(const PifConfig &cfg,
+                  std::shared_ptr<PifHistory> history);
 
     std::string name() const override { return "PIF"; }
 
@@ -94,8 +164,14 @@ class PifPrefetcher final : public Prefetcher
     /** Overall coverage across trap levels. */
     double coverage() const;
 
-    /** Regions recorded into history (all trap levels). */
-    std::uint64_t regionsRecorded() const;
+    /**
+     * Regions recorded into history (all trap levels; all sharing
+     * cores when the history is shared).
+     */
+    std::uint64_t regionsRecorded() const
+    {
+        return history_->regionsRecorded();
+    }
 
     /** SAB allocations performed. */
     std::uint64_t sabAllocations() const { return sabAllocations_; }
@@ -118,8 +194,8 @@ class PifPrefetcher final : public Prefetcher
     {
         std::unique_ptr<SpatialCompactor> spatial;
         std::unique_ptr<TemporalCompactor> temporal;
-        std::unique_ptr<HistoryBuffer> history;
-        std::unique_ptr<IndexTable> index;
+        HistoryBuffer *history = nullptr;  //!< owned by history_
+        IndexTable *index = nullptr;       //!< owned by history_
     };
 
     /** Map a trap level to a chain slot. */
@@ -147,6 +223,8 @@ class PifPrefetcher final : public Prefetcher
     }
 
     PifConfig cfg_;
+    std::shared_ptr<PifHistory> history_;
+    bool ownsHistory_ = false;  //!< reset() clears history_ only if set
     std::vector<Chain> chains_;
     std::vector<StreamAddressBuffer> sabs_;
     std::uint64_t sabTick_ = 0;
@@ -236,7 +314,7 @@ PifPrefetcher::onFetchAccess(const FetchInfo &info)
                     if (sab.lastUse() < victim->lastUse())
                         victim = &sab;
                 }
-                victim->allocate(chain.history.get(), *seq, scratch_);
+                victim->allocate(chain.history, *seq, scratch_);
                 victim->touch(++sabTick_);
                 ++sabAllocations_;
                 refreshStreamBounds();

@@ -20,7 +20,7 @@ CycleEngine::CycleEngine(const SystemConfig &cfg, const Program &prog,
     : cfg_(cfg),
       kind_(kind),
       exec_(prog, exec_cfg),
-      l1i_(cfg.l1i, ReplacementKind::LRU, cfg.seed),
+      l1i_(cfg.l1i),
       frontend_(cfg, l1i_, cfg.seed ^ 0xfe7c4),
       hierarchy_(cfg.memory),
       prefetcher_(makePrefetcher(kind, cfg)),

@@ -23,7 +23,6 @@
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
-#include "cache/mshr.hh"
 #include "common/config.hh"
 #include "core/cycle_core.hh"
 #include "core/frontend.hh"

@@ -66,18 +66,10 @@ runMulticoreTrace(const WorkloadRef &w, PrefetcherKind kind, unsigned cores,
     return out;
 }
 
-namespace {
-
-/**
- * Interleave @p engines in round-robin chunks for @p total
- * instructions each, emulating concurrent cores sharing predictor
- * state.
- */
 void
 interleave(std::vector<std::unique_ptr<TraceEngine>> &engines,
-           InstCount total)
+           InstCount total, InstCount chunk)
 {
-    constexpr InstCount chunk = 10'000;
     InstCount done = 0;
     while (done < total) {
         const InstCount step = std::min(chunk, total - done);
@@ -86,6 +78,8 @@ interleave(std::vector<std::unique_ptr<TraceEngine>> &engines,
         done += step;
     }
 }
+
+namespace {
 
 /** Mean correct-path miss ratio across engines from counter deltas. */
 double
@@ -124,19 +118,16 @@ runSharedPifStudy(const WorkloadRef &w, const Program &prog,
                                                  cores,
                                              256);
 
-        std::shared_ptr<SharedPifStorage> storage;
+        std::shared_ptr<PifHistory> history;
         if (shared)
-            storage = std::make_shared<SharedPifStorage>(run_cfg.pif);
+            history = std::make_shared<PifHistory>(run_cfg.pif);
 
         std::vector<std::unique_ptr<TraceEngine>> engines;
-        std::vector<Prefetcher *> prefetchers;
+        std::vector<PifPrefetcher *> prefetchers;
         for (unsigned core = 0; core < cores; ++core) {
-            std::unique_ptr<Prefetcher> pf;
-            if (shared) {
-                pf = std::make_unique<SharedPifPrefetcher>(storage);
-            } else {
-                pf = std::make_unique<PifPrefetcher>(run_cfg.pif);
-            }
+            auto pf = shared
+                ? std::make_unique<PifPrefetcher>(run_cfg.pif, history)
+                : std::make_unique<PifPrefetcher>(run_cfg.pif);
             prefetchers.push_back(pf.get());
             SystemConfig core_cfg = run_cfg;
             core_cfg.seed = run_cfg.seed + core * 7919;
@@ -159,15 +150,8 @@ runSharedPifStudy(const WorkloadRef &w, const Program &prog,
         const double miss_ratio =
             meanMissRatioSince(engines, acc0, miss0);
         double coverage = 0.0;
-        for (unsigned c = 0; c < cores; ++c) {
-            if (shared) {
-                coverage += dynamic_cast<SharedPifPrefetcher *>(
-                                prefetchers[c])->coverage();
-            } else {
-                coverage += dynamic_cast<PifPrefetcher *>(
-                                prefetchers[c])->coverage();
-            }
-        }
+        for (const PifPrefetcher *pf : prefetchers)
+            coverage += pf->coverage();
         coverage /= cores;
 
         if (shared) {

@@ -9,14 +9,17 @@
  * each executing its own instance of the workload (distinct seeds, so
  * cores run different transaction interleavings of the same program
  * mix), and aggregates per-core results. Inter-core interaction is
- * folded into the shared-L2 latency model (DESIGN.md substitution #3).
+ * folded into the shared-L2 latency model (modelling substitution #3,
+ * docs/paper_map.md); only the shared-storage study couples cores,
+ * through one PifHistory.
  */
 
 #pragma once
 
+#include <memory>
 #include <vector>
 
-#include "pif/shared_pif.hh"
+#include "pif/pif_prefetcher.hh"
 #include "sim/trace_engine.hh"
 #include "sim/workloads.hh"
 
@@ -47,6 +50,15 @@ MulticoreTraceResult
 runMulticoreTrace(const WorkloadRef &w, PrefetcherKind kind, unsigned cores,
                   InstCount warmup, InstCount measure,
                   const SystemConfig &cfg = SystemConfig{});
+
+/**
+ * Step @p engines round-robin in chunks of @p chunk instructions until
+ * each has run @p total more, emulating concurrent cores that share
+ * predictor state (a PifHistory). Serial by design: the order in which
+ * cores record and replay is part of the result.
+ */
+void interleave(std::vector<std::unique_ptr<TraceEngine>> &engines,
+                InstCount total, InstCount chunk = 10'000);
 
 /** Result of the shared-vs-private PIF storage study (Section 4's
  * deferred optimization). */

@@ -17,7 +17,6 @@
 
 #include "core/frontend.hh"
 #include "pif/pif_prefetcher.hh"
-#include "pif/shared_pif.hh"
 #include "prefetch/discontinuity.hh"
 #include "prefetch/next_line.hh"
 #include "prefetch/tifs.hh"
@@ -58,8 +57,6 @@ withConcretePrefetcher(Prefetcher &pf, Fn &&fn)
     else if (auto *p = dynamic_cast<TifsPrefetcher *>(&pf))
         fn(*p);
     else if (auto *p = dynamic_cast<DiscontinuityPrefetcher *>(&pf))
-        fn(*p);
-    else if (auto *p = dynamic_cast<SharedPifPrefetcher *>(&pf))
         fn(*p);
     else if (auto *p = dynamic_cast<NullPrefetcher *>(&pf))
         fn(*p);

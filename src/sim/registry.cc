@@ -180,7 +180,7 @@ fig2Points(const RunOptions &opts)
     return perWorkload(opts, [budget = *opts.budget, cfg = opts.cfg](
                                  const WorkloadRef &w, const Program &prog) {
         Executor exec(prog, w.executorConfig());
-        Cache l1i(cfg.l1i, ReplacementKind::LRU, cfg.seed);
+        Cache l1i(cfg.l1i);
         Frontend frontend(cfg, l1i, cfg.seed ^ 0xfe7c4);
 
         // Unbounded study predictor sizing.
@@ -1311,6 +1311,14 @@ goldenSuite()
         {
             GoldenEntry e;
             e.experiment = "fig10-speedup";
+            e.options.workloads = {ServerWorkload::OltpDb2};
+            e.options.budget = small;
+            entries.push_back(std::move(e));
+        }
+        // The only experiment that runs PIF over shared history.
+        {
+            GoldenEntry e;
+            e.experiment = "ablation";
             e.options.workloads = {ServerWorkload::OltpDb2};
             e.options.budget = small;
             entries.push_back(std::move(e));

@@ -20,7 +20,7 @@ TraceEngine::TraceEngine(const SystemConfig &cfg, const Program &prog,
                          std::unique_ptr<Prefetcher> prefetcher)
     : cfg_(cfg),
       exec_(prog, exec_cfg),
-      l1i_(cfg.l1i, ReplacementKind::LRU, cfg.seed),
+      l1i_(cfg.l1i),
       frontend_(cfg, l1i_, cfg.seed ^ 0xfe7c4),
       prefetcher_(std::move(prefetcher))
 {
