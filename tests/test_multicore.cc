@@ -103,19 +103,6 @@ TEST(Multicore, TraceRunnerBitIdenticalAcrossThreadCounts)
     expectSameTraceResults(serial, parallel);
 }
 
-TEST(SharedPifStudy, SharedBeatsEqualAggregatePrivate)
-{
-    // With 4 cores running the same binary, one shared 8K-region pool
-    // must outperform four private 2K pools: streams recorded by any
-    // core serve all of them.
-    const WorkloadRef w = ServerWorkload::OltpDb2;
-    const SharedPifStudyResult r = runSharedPifStudy(
-        w, w.buildProgram(), 4, 8 * 1024, 200'000, 300'000);
-    EXPECT_GT(r.privateMissRatio, 0.0);
-    EXPECT_GT(r.sharedCoverage, r.privateCoverage - 0.02);
-    EXPECT_LT(r.sharedMissRatio, r.privateMissRatio * 1.05);
-}
-
 TEST(Multicore, EmptyResultIsSafe)
 {
     MulticoreTraceResult empty;

@@ -6,12 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 
-#include "check/invariants.hh"
 #include "pif/pif_prefetcher.hh"
-#include "sim/trace_engine.hh"
-#include "sim/workloads.hh"
 
 namespace pifetch {
 namespace {
@@ -268,99 +264,6 @@ TEST(PifPrefetcher, SabAdvancesAlongStream)
     out.clear();
     pif.drainRequests(out, 256);
     EXPECT_FALSE(out.empty());
-}
-
-// ------------------------------------------- shared PifHistory (§4)
-
-TEST(PifPrefetcher, SharedHistoryReplaysAcrossCores)
-{
-    auto history = std::make_shared<PifHistory>(smallPif());
-    PifPrefetcher core_a(smallPif(), history);
-    PifPrefetcher core_b(smallPif(), history);
-
-    // Core A records a stream...
-    retireBlocks(core_a, {1000, 1001, 2000, 3000});
-    retireBlocks(core_a, {9000});
-
-    // ...core B, which has never executed it, replays it on the
-    // trigger recurrence. This is exactly what dedicated per-core
-    // storage cannot do.
-    core_b.onFetchAccess(fetchOf(1000));
-    std::vector<Addr> out;
-    core_b.drainRequests(out, 64);
-    EXPECT_NE(std::find(out.begin(), out.end(), 2000u), out.end());
-    EXPECT_NE(std::find(out.begin(), out.end(), 3000u), out.end());
-    EXPECT_EQ(core_b.sabAllocations(), 1u);
-    EXPECT_EQ(core_a.sabAllocations(), 0u);
-}
-
-TEST(PifPrefetcher, SharedHistoryAggregatesAcrossCores)
-{
-    auto history = std::make_shared<PifHistory>(smallPif());
-    PifPrefetcher a(smallPif(), history);
-    PifPrefetcher b(smallPif(), history);
-    retireBlocks(a, {100, 5000});
-    const std::uint64_t from_a = history->regionsRecorded();
-    retireBlocks(b, {900, 7000});
-    EXPECT_GE(from_a, 1u);
-    EXPECT_GT(history->regionsRecorded(), from_a);
-    EXPECT_EQ(a.regionsRecorded(), history->regionsRecorded());
-    EXPECT_EQ(b.regionsRecorded(), history->regionsRecorded());
-}
-
-TEST(PifPrefetcher, SharedHistoryKeepsCoveragePerCore)
-{
-    auto history = std::make_shared<PifHistory>(smallPif());
-    PifPrefetcher pf(smallPif(), history);
-    PifPrefetcher other(smallPif(), history);
-    pf.onFetchAccess(fetchOf(42));
-    pf.onFetchAccess(fetchOf(43, true, true));
-    EXPECT_DOUBLE_EQ(pf.coverage(), 0.5);
-    EXPECT_EQ(other.totalAccesses(0), 0u);
-}
-
-TEST(PifPrefetcher, ResetKeepsSharedHistory)
-{
-    auto history = std::make_shared<PifHistory>(smallPif());
-    PifPrefetcher a(smallPif(), history);
-    retireBlocks(a, {100, 5000});
-    const std::uint64_t recorded = history->regionsRecorded();
-    ASSERT_GT(recorded, 0u);
-    a.reset();
-    EXPECT_EQ(history->regionsRecorded(), recorded);
-    EXPECT_EQ(a.totalAccesses(0), 0u);
-}
-
-TEST(PifPrefetcher, SharedHistoryOfOneCoreMatchesOwnedHistory)
-{
-    // One core over a PifHistory of its own is the dedicated design:
-    // the whole run must not differ in any field.
-    const WorkloadRef w = ServerWorkload::OltpDb2;
-    const Program prog = w.buildProgram();
-    const SystemConfig cfg;
-    TraceEngine owned(cfg, prog, w.executorConfig(),
-                      std::make_unique<PifPrefetcher>(cfg.pif));
-    TraceEngine shared(
-        cfg, prog, w.executorConfig(),
-        std::make_unique<PifPrefetcher>(
-            cfg.pif, std::make_shared<PifHistory>(cfg.pif)));
-    const TraceRunResult a = owned.run(100'000, 200'000);
-    const TraceRunResult b = shared.run(100'000, 200'000);
-    EXPECT_GT(a.pifCoverage, 0.0);
-    std::vector<CheckFailure> failures;
-    checkTraceIdentical(a, b, "owned-vs-shared-history", failures);
-    for (const CheckFailure &f : failures)
-        ADD_FAILURE() << f.invariant << ": " << f.detail;
-}
-
-TEST(PifPrefetcherDeath, HistoryChainCountMustMatchConfig)
-{
-    PifConfig joint = smallPif();
-    joint.separateTrapLevels = false;
-    PifConfig split = smallPif();
-    split.separateTrapLevels = true;
-    auto history = std::make_shared<PifHistory>(joint);
-    EXPECT_DEATH({ PifPrefetcher pf(split, history); }, "chain count");
 }
 
 } // namespace

@@ -1,14 +1,19 @@
 /**
  * @file
- * Shared-storage PIF tests.
+ * Shared-storage PIF tests: several cores' PifPrefetchers over one
+ * PifHistory (Section 4).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
-#include "pif/shared_pif.hh"
+#include "check/invariants.hh"
+#include "pif/pif_prefetcher.hh"
 #include "sim/multicore.hh"
+#include "sim/trace_engine.hh"
+#include "sim/workloads.hh"
 
 namespace pifetch {
 namespace {
@@ -33,20 +38,22 @@ retireBlocks(Prefetcher &pf, const std::vector<Addr> &blocks)
 }
 
 FetchInfo
-fetchOf(Addr block)
+fetchOf(Addr block, bool hit = false, bool was_prefetched = false)
 {
     FetchInfo f;
     f.block = block;
     f.pc = blockBase(block);
+    f.hit = hit;
+    f.wasPrefetched = was_prefetched;
     f.correctPath = true;
     return f;
 }
 
 TEST(SharedPif, CrossCoreStreamReplay)
 {
-    auto storage = std::make_shared<SharedPifStorage>(smallPif());
-    SharedPifPrefetcher core_a(storage);
-    SharedPifPrefetcher core_b(storage);
+    auto history = std::make_shared<PifHistory>(smallPif());
+    PifPrefetcher core_a(smallPif(), history);
+    PifPrefetcher core_b(smallPif(), history);
 
     // Core A records a stream...
     retireBlocks(core_a, {1000, 1001, 2000, 3000});
@@ -61,38 +68,77 @@ TEST(SharedPif, CrossCoreStreamReplay)
     EXPECT_NE(std::find(out.begin(), out.end(), 2000u), out.end());
     EXPECT_NE(std::find(out.begin(), out.end(), 3000u), out.end());
     EXPECT_EQ(core_b.sabAllocations(), 1u);
+    EXPECT_EQ(core_a.sabAllocations(), 0u);
 }
 
 TEST(SharedPif, StorageAggregatesAcrossCores)
 {
-    auto storage = std::make_shared<SharedPifStorage>(smallPif());
-    SharedPifPrefetcher a(storage);
-    SharedPifPrefetcher b(storage);
+    auto history = std::make_shared<PifHistory>(smallPif());
+    PifPrefetcher a(smallPif(), history);
+    PifPrefetcher b(smallPif(), history);
     retireBlocks(a, {100, 5000});
+    const std::uint64_t from_a = history->regionsRecorded();
     retireBlocks(b, {900, 7000});
-    EXPECT_GE(storage->regionsRecorded(), 2u);
+    EXPECT_GE(from_a, 1u);
+    EXPECT_GT(history->regionsRecorded(), from_a);
+    EXPECT_EQ(a.regionsRecorded(), history->regionsRecorded());
+    EXPECT_EQ(b.regionsRecorded(), history->regionsRecorded());
 }
 
 TEST(SharedPif, CoverageAccounting)
 {
-    auto storage = std::make_shared<SharedPifStorage>(smallPif());
-    SharedPifPrefetcher pf(storage);
+    // Coverage stays per core even though the history is shared.
+    auto history = std::make_shared<PifHistory>(smallPif());
+    PifPrefetcher pf(smallPif(), history);
+    PifPrefetcher other(smallPif(), history);
     pf.onFetchAccess(fetchOf(42));
-    FetchInfo covered = fetchOf(43);
-    covered.hit = true;
-    covered.wasPrefetched = true;
-    pf.onFetchAccess(covered);
+    pf.onFetchAccess(fetchOf(43, true, true));
     EXPECT_DOUBLE_EQ(pf.coverage(), 0.5);
+    EXPECT_EQ(other.totalAccesses(0), 0u);
 }
 
 TEST(SharedPif, ResetKeepsSharedStorage)
 {
-    auto storage = std::make_shared<SharedPifStorage>(smallPif());
-    SharedPifPrefetcher a(storage);
+    auto history = std::make_shared<PifHistory>(smallPif());
+    PifPrefetcher a(smallPif(), history);
     retireBlocks(a, {100, 5000});
-    const std::uint64_t recorded = storage->regionsRecorded();
+    const std::uint64_t recorded = history->regionsRecorded();
+    ASSERT_GT(recorded, 0u);
     a.reset();
-    EXPECT_EQ(storage->regionsRecorded(), recorded);
+    EXPECT_EQ(history->regionsRecorded(), recorded);
+    EXPECT_EQ(a.totalAccesses(0), 0u);
+}
+
+TEST(SharedPif, OneCoreMatchesOwnedHistory)
+{
+    // One core over a PifHistory of its own is the dedicated design:
+    // the whole run must not differ in any field.
+    const WorkloadRef w = ServerWorkload::OltpDb2;
+    const Program prog = w.buildProgram();
+    const SystemConfig cfg;
+    TraceEngine owned(cfg, prog, w.executorConfig(),
+                      std::make_unique<PifPrefetcher>(cfg.pif));
+    TraceEngine shared(
+        cfg, prog, w.executorConfig(),
+        std::make_unique<PifPrefetcher>(
+            cfg.pif, std::make_shared<PifHistory>(cfg.pif)));
+    const TraceRunResult a = owned.run(100'000, 200'000);
+    const TraceRunResult b = shared.run(100'000, 200'000);
+    EXPECT_GT(a.pifCoverage, 0.0);
+    std::vector<CheckFailure> failures;
+    checkTraceIdentical(a, b, "owned-vs-shared-history", failures);
+    for (const CheckFailure &f : failures)
+        ADD_FAILURE() << f.invariant << ": " << f.detail;
+}
+
+TEST(SharedPifDeath, HistoryChainCountMustMatchConfig)
+{
+    PifConfig joint = smallPif();
+    joint.separateTrapLevels = false;
+    PifConfig split = smallPif();
+    split.separateTrapLevels = true;
+    auto history = std::make_shared<PifHistory>(joint);
+    EXPECT_DEATH({ PifPrefetcher pf(split, history); }, "chain count");
 }
 
 TEST(SharedPifStudy, SharedBeatsEqualAggregatePrivate)
