@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "check/checker.hh"
-#include "common/parallel.hh"
 #include "lint/driver.hh"
 #include "perf/kernels.hh"
 #include "query/event_store.hh"
@@ -664,19 +663,13 @@ cmdSweep(Cli &cli)
         return emitSweepDoc(a.out, *doc, dir);
     }
 
-    // In-process: grid points fan over the worker pool; each point
-    // runs serially inside (threads = 1) so the fan-out is the only
-    // parallelism.
+    // In-process: grid points split over lanes, each point serial
+    // inside (threads = 1) and each lane reusing its own engine runs.
     const auto base = sweepBaseOptions(*a.spec, manifest, &err);
     if (!base)
         return cli.error(err);
-    const std::uint64_t points = sweepPointCount(manifest);
-    std::vector<ResultValue> docs(points);
-    parallelFor(a.run.cfg.threads, points, [&](std::uint64_t p) {
-        docs[p] = runSweepPoint(*a.spec, *base, manifest, p);
-    });
-    return emitSweepDoc(a.out,
-                        assembleSweepDoc(manifest, std::move(docs)));
+    return emitSweepDoc(a.out, runSweepInProcess(*a.spec, *base, manifest,
+                                                 a.run.cfg.threads));
 }
 
 /** `pifetch trace info` document for one trace file. */

@@ -123,13 +123,6 @@ struct NextLineConfig
     unsigned degree = 4;  //!< blocks prefetched past the accessed block
 };
 
-/** Interrupt (trap) injection parameters for the workload executor. */
-struct TrapConfig
-{
-    double perInstrProbability = 2e-5;  //!< spontaneous interrupt rate
-    unsigned handlerCount = 12;         //!< distinct handler routines
-};
-
 /** Complete single-core system configuration. */
 struct SystemConfig
 {
@@ -141,7 +134,6 @@ struct SystemConfig
     PifConfig pif;
     TifsConfig tifs;
     NextLineConfig nextLine;
-    TrapConfig trap;
     unsigned numCores = 16;   //!< documented; engines simulate per core
     std::uint64_t seed = 42;  //!< master seed for deterministic runs
     /**

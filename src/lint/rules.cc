@@ -245,6 +245,29 @@ class ScopeTracker
 
     std::size_t depth() const { return stack_.size(); }
 
+    /**
+     * The scope whose head holds token @p i, classified as step()
+     * will classify it at its '{'; Kind::Other when a top-level ';'
+     * ends the statement first. A constructor's member-initializer
+     * list is part of its head.
+     */
+    Scope
+    headScope(std::size_t i) const
+    {
+        int parens = 0;
+        for (std::size_t j = i; j < toks_.size(); ++j) {
+            if (isPunct(toks_[j], "(") || isPunct(toks_[j], "["))
+                ++parens;
+            else if (isPunct(toks_[j], ")") || isPunct(toks_[j], "]"))
+                --parens;
+            else if (parens <= 0 && isPunct(toks_[j], ";"))
+                break;
+            else if (parens <= 0 && isPunct(toks_[j], "{"))
+                return classify(j);
+        }
+        return Scope{};
+    }
+
     /** Index of the first token of the current statement head. */
     std::size_t headStart() const { return headStart_; }
 
@@ -622,10 +645,14 @@ checkAlloc(const SourceFile &f, const LintContext &, const Rule &rule,
         if (!hit)
             continue;
         // Construction-time allocation is fine: constructors
-        // (name == qualifier, or name == enclosing class) and
-        // make*/factory helpers. The rule exists for the per-fetch
-        // steady state.
-        const Scope *fn = scopes.enclosingFunction();
+        // (name == qualifier, or name == enclosing class) with their
+        // member-initializer lists, and make*/factory helpers. The
+        // rule exists for the per-fetch steady state.
+        const Scope head = scopes.headScope(i);
+        const Scope *fn =
+            head.kind == Scope::Kind::Func && !head.name.empty()
+                ? &head
+                : scopes.enclosingFunction();
         if (fn) {
             if (!fn->qualifier.empty() && fn->qualifier == fn->name)
                 continue;
@@ -1145,22 +1172,31 @@ buildCatalog()
             "steady state; per-fetch allocation also perturbs the "
             "perf gate.";
         r.fixture.path = "src/pif/fixture.cc";
+        // Both delegate through an allocation in a member-initializer
+        // list, which is construction, not steady state.
         r.fixture.bad =
             "#include <memory>\n"
             "struct Entry { long v; };\n"
             "struct Table {\n"
+            "    Table() : Table(std::make_shared<Entry>()) {}\n"
+            "    explicit Table(std::shared_ptr<Entry> e) : slab_(e) {}\n"
             "    void onFetch(long v) {\n"
             "        last_ = std::make_unique<Entry>(Entry{v});\n"
             "    }\n"
+            "    std::shared_ptr<Entry> slab_;\n"
             "    std::unique_ptr<Entry> last_;\n"
             "};\n";
         r.fixture.good =
             "#include <memory>\n"
             "struct Entry { long v; };\n"
             "struct Table {\n"
-            "    Table() { slab_ = std::make_unique<Entry>(); }\n"
-            "    void onFetch(long v) { slab_->v = v; }\n"
-            "    std::unique_ptr<Entry> slab_;\n"
+            "    Table() : Table(std::make_shared<Entry>()) {}\n"
+            "    explicit Table(std::shared_ptr<Entry> e) : slab_(e) {\n"
+            "        last_ = std::make_unique<Entry>();\n"
+            "    }\n"
+            "    void onFetch(long v) { last_->v = v; }\n"
+            "    std::shared_ptr<Entry> slab_;\n"
+            "    std::unique_ptr<Entry> last_;\n"
             "};\n";
         r.check = &checkAlloc;
         add(r);

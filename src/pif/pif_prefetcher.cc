@@ -60,19 +60,9 @@ PifHistory::reset()
         t.reset();
 }
 
-namespace {
-
-/** A history for one prefetcher's exclusive use. */
-std::shared_ptr<PifHistory>
-makeHistory(const PifConfig &cfg, bool unbounded_storage)
-{
-    return std::make_shared<PifHistory>(cfg, unbounded_storage);
-}
-
-} // namespace
-
 PifPrefetcher::PifPrefetcher(const PifConfig &cfg, bool unbounded_storage)
-    : PifPrefetcher(cfg, makeHistory(cfg, unbounded_storage))
+    : PifPrefetcher(cfg,
+                    std::make_shared<PifHistory>(cfg, unbounded_storage))
 {
     ownsHistory_ = true;
 }

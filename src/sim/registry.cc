@@ -4,7 +4,8 @@
  *
  * Each experiment is a `points` function listing its simulation
  * points in stages and a pure `reduce` building its tables from their
- * results. One scheduler (runStages) runs every experiment's points.
+ * results. One scheduler (runStages) runs every experiment's points,
+ * each distinct engine run once per RunMemo.
  */
 
 #include "sim/registry.hh"
@@ -15,6 +16,7 @@
 #include <cstdlib>
 #include <iterator>
 #include <limits>
+#include <set>
 #include <variant>
 
 #include "common/parallel.hh"
@@ -78,19 +80,32 @@ perWorkload(const RunOptions &opts, const decltype(ExperimentPoint::run) &fn)
 {
     ExperimentStage stage;
     for (const WorkloadRef &w : opts.workloads)
-        stage.push_back({w, fn});
+        stage.push_back({w, fn, {}, {}});
     return {stage};
 }
 
-/** One functional-engine run of @p kind on @p prog. */
-TraceRunResult
-traceRun(const SystemConfig &cfg, PrefetcherKind kind, bool unbounded,
-         const WorkloadRef &w, const Program &prog,
-         const ExperimentBudget &budget)
+/**
+ * An engine point of @p w simulating @p run, whose @p Result @p fold
+ * turns into the point's result.
+ */
+template <typename Result, typename Fold>
+ExperimentPoint
+enginePoint(const WorkloadRef &w, const EngineRun &run, Fold fold)
 {
-    TraceEngine engine(cfg, prog, w.executorConfig(),
-                       makePrefetcher(kind, cfg, unbounded));
-    return engine.run(budget.warmup, budget.measure);
+    return {w, nullptr, run, [fold](const EngineResult &r) {
+                return ResultValue(fold(std::get<Result>(r)));
+            }};
+}
+
+/** A functional-engine point: @p kind under @p cfg on @p w. */
+template <typename Fold>
+ExperimentPoint
+tracePoint(const WorkloadRef &w, PrefetcherKind kind, bool unbounded,
+           const SystemConfig &cfg, const ExperimentBudget &budget,
+           Fold fold)
+{
+    return enginePoint<TraceRunResult>(
+        w, {SimEngine::Trace, kind, unbounded, cfg, budget}, fold);
 }
 
 // --------------------------------------------------------- Table I
@@ -453,14 +468,12 @@ pifCoverageSweep(const RunOptions &opts, const Value (&values)[N],
         for (const Value &v : values) {
             SystemConfig cfg = opts.cfg;
             apply(cfg, v);
-            stage.push_back({w, [cfg, budget = *opts.budget](
-                                    const WorkloadRef &wl,
-                                    const Program &p) {
-                const TraceRunResult r = traceRun(
-                    cfg, PrefetcherKind::Pif, false, wl, p, budget);
-                return rowOf(r.pifCoverageTl0, r.pifCoverageTl1,
-                             r.pifCoverage);
-            }});
+            stage.push_back(tracePoint(
+                w, PrefetcherKind::Pif, false, cfg, *opts.budget,
+                [](const TraceRunResult &r) {
+                    return rowOf(r.pifCoverageTl0, r.pifCoverageTl1,
+                                 r.pifCoverage);
+                }));
         }
     }
     return {stage};
@@ -610,7 +623,8 @@ fig9RightReduce(const RunOptions &opts,
 
 /**
  * One stage per workload with @p kinds as its points, so only one
- * workload's Program is live at a time.
+ * workload's Program is live at a time. @p point(kind, workload)
+ * builds each point.
  */
 template <std::size_t N, typename Point>
 std::vector<ExperimentStage>
@@ -620,12 +634,8 @@ perWorkloadKinds(const RunOptions &opts, const PrefetcherKind (&kinds)[N],
     std::vector<ExperimentStage> stages;
     for (const WorkloadRef &w : opts.workloads) {
         ExperimentStage stage;
-        for (const PrefetcherKind kind : kinds) {
-            stage.push_back({w, [=](const WorkloadRef &wl,
-                                    const Program &p) {
-                return point(kind, wl, p);
-            }});
-        }
+        for (const PrefetcherKind kind : kinds)
+            stage.push_back(point(kind, w));
         stages.push_back(std::move(stage));
     }
     return stages;
@@ -662,11 +672,12 @@ fig10CoveragePoints(const RunOptions &opts)
 {
     return perWorkloadKinds(
         opts, fig10CoverageKinds,
-        [cfg = opts.cfg, budget = *opts.budget](
-            PrefetcherKind kind, const WorkloadRef &w, const Program &p) {
+        [&opts](PrefetcherKind kind, const WorkloadRef &w) {
             // Section 5.5 compares without storage limitations.
-            return ResultValue(
-                traceRun(cfg, kind, true, w, p, budget).misses);
+            return tracePoint(w, kind, true, opts.cfg, *opts.budget,
+                              [](const TraceRunResult &r) {
+                                  return r.misses;
+                              });
         });
 }
 
@@ -701,11 +712,10 @@ fig10SpeedupPoints(const RunOptions &opts)
 {
     return perWorkloadKinds(
         opts, fig10SpeedupKinds,
-        [cfg = opts.cfg, budget = *opts.budget](
-            PrefetcherKind kind, const WorkloadRef &w, const Program &p) {
-            CycleEngine engine(cfg, p, w.executorConfig(), kind);
-            return ResultValue(
-                engine.run(budget.warmup, budget.measure).uipc);
+        [&opts](PrefetcherKind kind, const WorkloadRef &w) {
+            return enginePoint<CycleRunResult>(
+                w, {SimEngine::Cycle, kind, false, opts.cfg, *opts.budget},
+                [](const CycleRunResult &r) { return r.uipc; });
         });
 }
 
@@ -763,9 +773,7 @@ ablationPoints(const RunOptions &opts)
     // One functional run of `kind` under `cfg`, reported by `row`.
     const auto add = [&](PrefetcherKind kind, const SystemConfig &cfg,
                          auto row) {
-        stage.push_back({w, [=](const WorkloadRef &wl, const Program &p) {
-            return row(traceRun(cfg, kind, false, wl, p, budget));
-        }});
+        stage.push_back(tracePoint(w, kind, false, cfg, budget, row));
     };
     for (const unsigned depth : ablationDepths) {
         SystemConfig cfg = base;
@@ -803,7 +811,7 @@ ablationPoints(const RunOptions &opts)
                 base);
             return rowOf(total, r.privateCoverage, r.sharedCoverage,
                          r.privateMissRatio, r.sharedMissRatio);
-        }});
+        }, {}, {}});
     }
     for (const unsigned degree : ablationDegrees) {
         SystemConfig cfg = base;
@@ -879,41 +887,82 @@ sameWorkload(const WorkloadRef &a, const WorkloadRef &b)
 }
 
 /**
- * Run @p stages in order on one pool of min(threads, largest stage)
- * lanes and return every point's result in stage-then-point order.
- * Each point writes its own slot, so the results do not depend on the
- * lane count. Program rule: see registry.hh.
+ * Run @p stages in order and return every point's result in
+ * stage-then-point order.
+ *
+ * The whole run is planned against @p memo before the pool starts: an
+ * engine point whose key @p memo holds, or whose key an earlier point
+ * of the plan runs, folds the stored result; every other point runs.
+ * Runs take one pool of min(threads, most runs in a stage) lanes and
+ * write their own slots, and results enter @p memo in plan order
+ * between stages, so neither the results nor the memo depend on the
+ * lane count. Program rule (registry.hh) over the points that run: a
+ * stage with none builds no Program.
  */
 std::vector<ResultValue>
-runStages(const std::vector<ExperimentStage> &stages, unsigned threads)
+runStages(const std::vector<ExperimentStage> &stages, unsigned threads,
+          RunMemo &memo)
 {
-    std::size_t total = 0;
-    std::size_t largest = 1;
-    for (const ExperimentStage &stage : stages) {
-        total += stage.size();
-        largest = std::max(largest, stage.size());
+    std::vector<std::vector<std::string>> keys(stages.size());
+    std::vector<std::vector<std::size_t>> runs(stages.size());
+    std::set<std::string> planned;
+    std::size_t widest = 1;
+    for (std::size_t s = 0; s < stages.size(); ++s) {
+        for (std::size_t i = 0; i < stages[s].size(); ++i) {
+            const ExperimentPoint &p = stages[s][i];
+            std::string key;
+            if (p.engine)
+                key = engineRunKey(p.workload, *p.engine);
+            if (!p.engine ||
+                (!memo.results.count(key) && planned.insert(key).second))
+                runs[s].push_back(i);
+            else
+                ++memo.reused;
+            keys[s].push_back(std::move(key));
+        }
+        memo.executed += runs[s].size();
+        widest = std::max(widest, runs[s].size());
     }
     ThreadPool pool(static_cast<unsigned>(
-        std::min<std::size_t>(resolveThreads(threads), largest)));
+        std::min<std::size_t>(resolveThreads(threads), widest)));
 
-    std::vector<ResultValue> results(total);
-    std::size_t first = 0;
-    for (const ExperimentStage &stage : stages) {
+    std::vector<ResultValue> results;
+    for (std::size_t s = 0; s < stages.size(); ++s) {
+        const ExperimentStage &stage = stages[s];
+        const std::vector<std::size_t> &run = runs[s];
         std::optional<Program> shared;
-        if (!stage.empty() &&
-            std::all_of(stage.begin(), stage.end(),
-                        [&](const ExperimentPoint &p) {
-                            return sameWorkload(p.workload,
-                                                stage.front().workload);
-                        }))
-            shared.emplace(stage.front().workload.buildProgram());
-        pool.parallelFor(stage.size(), [&](std::uint64_t i) {
-            const ExperimentPoint &p = stage[i];
-            results[first + i] = shared
-                ? p.run(p.workload, *shared)
-                : p.run(p.workload, p.workload.buildProgram());
+        if (!run.empty() &&
+            std::all_of(run.begin(), run.end(), [&](std::size_t i) {
+                return sameWorkload(stage[i].workload,
+                                    stage[run.front()].workload);
+            }))
+            shared.emplace(stage[run.front()].workload.buildProgram());
+
+        std::vector<ResultValue> out(stage.size());
+        std::vector<std::optional<EngineResult>> simulated(run.size());
+        pool.parallelFor(run.size(), [&](std::uint64_t j) {
+            const ExperimentPoint &p = stage[run[j]];
+            const auto go = [&](const Program &prog) {
+                if (p.engine)
+                    simulated[j] = runEngine(*p.engine, p.workload, prog);
+                else
+                    out[run[j]] = p.run(p.workload, prog);
+            };
+            if (shared)
+                go(*shared);
+            else
+                go(p.workload.buildProgram());
         });
-        first += stage.size();
+        for (std::size_t j = 0; j < run.size(); ++j) {
+            if (simulated[j])
+                memo.results.emplace(keys[s][run[j]],
+                                     std::move(*simulated[j]));
+        }
+        for (std::size_t i = 0; i < stage.size(); ++i) {
+            if (stage[i].engine)
+                out[i] = stage[i].fold(memo.results.at(keys[s][i]));
+            results.push_back(std::move(out[i]));
+        }
     }
     return results;
 }
@@ -1066,13 +1115,96 @@ configToResult(const SystemConfig &cfg)
     return out;
 }
 
+EngineResult
+runEngine(const EngineRun &run, const WorkloadRef &w, const Program &prog)
+{
+    const InstCount warmup = run.budget.warmup;
+    const InstCount measure = run.budget.measure;
+    if (run.engine == SimEngine::Trace) {
+        TraceEngine engine(run.cfg, prog, w.executorConfig(),
+                           makePrefetcher(run.kind, run.cfg,
+                                          run.unbounded));
+        return engine.run(warmup, measure);
+    }
+    if (run.unbounded)
+        panic("the cycle engine has no unbounded-storage mode");
+    CycleEngine engine(run.cfg, prog, w.executorConfig(), run.kind);
+    return engine.run(warmup, measure);
+}
+
+namespace {
+
+/** Appends the bytes of each of @p fields to @p key. */
+template <typename... Fields>
+void
+putFields(std::string &key, const Fields &...fields)
+{
+    (key.append(reinterpret_cast<const char *>(&fields), sizeof fields),
+     ...);
+}
+
+void
+putCache(std::string &key, const CacheConfig &c)
+{
+    putFields(key, c.name.size());
+    key += c.name;
+    putFields(key, c.sizeBytes, c.assoc, c.blockBytes, c.hitLatency,
+              c.mshrs);
+}
+
+} // namespace
+
+std::string
+engineRunKey(const WorkloadRef &w, const EngineRun &run)
+{
+    std::string key = w.isSpec()
+        ? "spec " + toJson(specToResult(w.lowered()->spec))
+        : "preset " + w.key();
+    key += '\0';
+    putFields(key, run.engine, run.kind, run.unbounded, run.budget.warmup,
+              run.budget.measure);
+
+    // Every SystemConfig field, in declaration order.
+    const SystemConfig c = effectiveConfig(run.kind, run.cfg);
+    putCache(key, c.l1i);
+    putCache(key, c.l1d);
+    const BranchConfig &b = c.branch;
+    putFields(key, b.gshareEntries, b.bimodalEntries, b.chooserEntries,
+              b.historyBits, b.btbEntries, b.btbAssoc, b.rasEntries);
+    const CoreConfig &core = c.core;
+    putFields(key, core.dispatchWidth, core.retireWidth, core.robEntries,
+              core.fetchQueueEntries, core.frontendDepth,
+              core.minResolveCycles, core.maxResolveCycles,
+              core.dataStallFraction, core.dataStallCycles);
+    const MemoryConfig &m = c.memory;
+    putFields(key, m.l2SizeBytes, m.l2Assoc, m.l2HitLatency, m.l2Mshrs,
+              m.memLatency, m.interconnectLatency);
+    const PifConfig &p = c.pif;
+    putFields(key, p.blocksBefore, p.blocksAfter, p.temporalEntries,
+              p.historyRegions, p.indexEntries, p.indexAssoc, p.numSabs,
+              p.sabWindowRegions, p.separateTrapLevels);
+    const TifsConfig &t = c.tifs;
+    putFields(key, t.historyEntries, t.indexEntries, t.indexAssoc,
+              t.numSabs, t.sabWindowBlocks, t.unbounded);
+    putFields(key, c.nextLine.degree, c.numCores, c.seed, c.threads);
+    return key;
+}
+
 ResultValue
 runExperiment(const ExperimentSpec &spec, const RunOptions &request)
 {
+    RunMemo memo;
+    return runExperiment(spec, request, memo);
+}
+
+ResultValue
+runExperiment(const ExperimentSpec &spec, const RunOptions &request,
+              RunMemo &memo)
+{
     const RunOptions opts = resolvedOptions(spec, request);
     const ExperimentBudget &budget = *opts.budget;
-    ResultValue body =
-        spec.reduce(opts, runStages(spec.points(opts), opts.cfg.threads));
+    ResultValue body = spec.reduce(
+        opts, runStages(spec.points(opts), opts.cfg.threads, memo));
 
     ResultValue meta = ResultValue::object();
     // Analysis-only studies never read the system config and make a
@@ -1130,8 +1262,7 @@ parseU64Value(const std::string &s, std::uint64_t &out)
 namespace {
 
 /** A settable SystemConfig field; its type fixes how values parse. */
-using ConfigField =
-    std::variant<unsigned *, std::uint64_t *, bool *, double *>;
+using ConfigField = std::variant<unsigned *, std::uint64_t *, bool *>;
 
 /** One `--set` key: the field path it names and how to reach it. */
 struct ConfigKey
@@ -1172,8 +1303,6 @@ configKeyTable()
         CONFIG_KEY(tifs.historyEntries),
         CONFIG_KEY(tifs.sabWindowBlocks),
         CONFIG_KEY(nextLine.degree),
-        CONFIG_KEY(trap.perInstrProbability),
-        CONFIG_KEY(trap.handlerCount),
     };
     return table;
 }
@@ -1194,18 +1323,10 @@ setField(ConfigField f, const std::string &value)
     }
     if (auto *p = std::get_if<std::uint64_t *>(&f))
         return parseU64Value(value, **p);
-    if (auto *p = std::get_if<bool *>(&f)) {
-        const bool on = value == "1" || value == "true" || value == "on";
-        if (!on && value != "0" && value != "false" && value != "off")
-            return false;
-        **p = on;
-        return true;
-    }
-    char *end = nullptr;
-    const double d = std::strtod(value.c_str(), &end);
-    if (value.empty() || *end != '\0')
+    const bool on = value == "1" || value == "true" || value == "on";
+    if (!on && value != "0" && value != "false" && value != "off")
         return false;
-    *std::get<double *>(f) = d;
+    *std::get<bool *>(f) = on;
     return true;
 }
 

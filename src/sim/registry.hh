@@ -17,6 +17,11 @@
  * multi-workload stage each point builds its own (docs/building.md,
  * "Threading model").
  *
+ * Most points are engine points: a declared EngineRun plus a fold of
+ * its result. Points with equal run keys simulate identically, so the
+ * scheduler runs each key once per RunMemo and folds the stored
+ * result everywhere else.
+ *
  * Result document convention:
  * {
  *   "experiment":  "<name>",
@@ -33,13 +38,18 @@
 
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/results.hh"
+#include "sim/cycle_engine.hh"
 #include "sim/system_config.hh"
+#include "sim/trace_engine.hh"
 #include "sim/workloads.hh"
 
 namespace pifetch {
@@ -70,15 +80,65 @@ struct RunOptions
     SystemConfig cfg;
 };
 
+/** The engine an engine point runs. */
+enum class SimEngine {
+    Trace,  //!< functional TraceEngine
+    Cycle,  //!< timed CycleEngine
+};
+
+/** One engine run, declared by everything it reads but the workload. */
+struct EngineRun
+{
+    SimEngine engine = SimEngine::Trace;
+    PrefetcherKind kind = PrefetcherKind::None;
+    /** No storage limits (Figure 10 left); trace engine only. */
+    bool unbounded = false;
+    SystemConfig cfg;
+    ExperimentBudget budget;
+};
+
+/** What one engine run returns: a TraceRunResult or a CycleRunResult. */
+using EngineResult = std::variant<TraceRunResult, CycleRunResult>;
+
+/** Simulate @p run on workload @p w, whose Program is @p prog. */
+EngineResult runEngine(const EngineRun &run, const WorkloadRef &w,
+                       const Program &prog);
+
 /**
- * One independent simulation point: the workload it runs and a
- * function of that workload and its Program returning one small
- * result (a table row, a few cells or a single number).
+ * The run key of @p run on @p w: the workload (a preset's key, or a
+ * spec's canonical JSON), the engine, the prefetcher kind,
+ * `unbounded`, the budget and effectiveConfig(kind, cfg). Runs with
+ * equal keys return identical results, digests included.
+ */
+std::string engineRunKey(const WorkloadRef &w, const EngineRun &run);
+
+/**
+ * One independent simulation point and the workload it runs. An
+ * engine point sets `engine` and `fold`: the scheduler simulates the
+ * run (or reuses an equal-keyed one) and folds its result into the
+ * point's small ResultValue (a table row, a few cells or a single
+ * number). An analysis-only point sets `run` instead, a function of
+ * the workload and its Program; it has no key and always runs.
  */
 struct ExperimentPoint
 {
     WorkloadRef workload;
     std::function<ResultValue(const WorkloadRef &, const Program &)> run;
+    std::optional<EngineRun> engine;
+    std::function<ResultValue(const EngineResult &)> fold;
+};
+
+/**
+ * Engine results by run key, owned by whoever calls the scheduler:
+ * runExperiment() uses a fresh memo per call, a sweep shard (or an
+ * in-process sweep lane) one memo across its grid points. The counts
+ * are deterministic: they follow from the plan, not the schedule.
+ */
+struct RunMemo
+{
+    std::map<std::string, EngineResult> results;
+    std::uint64_t executed = 0;  //!< points simulated or analysed
+    std::uint64_t reused = 0;    //!< engine points folded from a stored run
 };
 
 /** Points that may run concurrently; a run's stages run in order. */
@@ -130,6 +190,14 @@ const ExperimentSpec *findExperiment(const std::string &name);
  */
 ResultValue runExperiment(const ExperimentSpec &spec,
                           const RunOptions &opts);
+
+/**
+ * runExperiment() against the caller's @p memo: engine points whose
+ * key @p memo already holds are folded, not simulated, and new runs
+ * are added to it.
+ */
+ResultValue runExperiment(const ExperimentSpec &spec,
+                          const RunOptions &opts, RunMemo &memo);
 
 /** Key system-configuration parameters as a result object. */
 ResultValue configToResult(const SystemConfig &cfg);

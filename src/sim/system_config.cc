@@ -1,11 +1,11 @@
 /**
  * @file
- * Prefetcher factory and SystemConfig validation.
+ * Prefetcher factory, the config a prefetcher kind reads, and
+ * SystemConfig validation.
  */
 
 #include "sim/system_config.hh"
 
-#include <cmath>
 #include <limits>
 
 #include "pif/pif_prefetcher.hh"
@@ -51,6 +51,21 @@ makePrefetcher(PrefetcherKind kind, const SystemConfig &cfg,
         return std::make_unique<PifPrefetcher>(cfg.pif, unbounded);
     }
     panic("unknown prefetcher kind");
+}
+
+SystemConfig
+effectiveConfig(PrefetcherKind kind, const SystemConfig &cfg)
+{
+    const SystemConfig defaults;
+    SystemConfig out = cfg;
+    out.threads = defaults.threads;
+    if (kind != PrefetcherKind::NextLine)
+        out.nextLine = defaults.nextLine;
+    if (kind != PrefetcherKind::Tifs)
+        out.tifs = defaults.tifs;
+    if (kind != PrefetcherKind::Pif)
+        out.pif = defaults.pif;
+    return out;
 }
 
 std::optional<std::string>
@@ -99,9 +114,6 @@ validateSystemConfig(const SystemConfig &cfg)
     }
     if (cfg.l1i.sizeBytes % (std::uint64_t{cfg.l1i.assoc} * blockBytes))
         return std::string("l1i.sizeBytes must be a whole number of sets");
-    const double p = cfg.trap.perInstrProbability;
-    if (!std::isfinite(p) || p < 0.0 || p > 1.0)
-        return std::string("trap.perInstrProbability must be in [0, 1]");
     return std::nullopt;
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Prefetcher selection and construction for the engines, and the
- * range check every user-supplied SystemConfig passes first.
+ * Prefetcher selection and construction for the engines, the part
+ * of a SystemConfig each prefetcher kind reads, and the range check
+ * every user-supplied SystemConfig passes first.
  */
 
 #pragma once
@@ -40,6 +41,16 @@ std::string prefetcherName(PrefetcherKind kind);
 std::unique_ptr<Prefetcher> makePrefetcher(PrefetcherKind kind,
                                            const SystemConfig &cfg,
                                            bool unbounded = false);
+
+/**
+ * @p cfg as a run of @p kind sees it: `threads` (a host knob) and the
+ * prefetcher sections @p kind does not read reset to their defaults.
+ * None, Perfect and Discontinuity read no section, Next-Line reads
+ * only `nextLine`, TIFS only `tifs` and PIF only `pif`. Two configs
+ * with equal effective configs simulate identically, which is what
+ * lets the registry key a run on it (engineRunKey in registry.hh).
+ */
+SystemConfig effectiveConfig(PrefetcherKind kind, const SystemConfig &cfg);
 
 /**
  * Range-check the SystemConfig fields a user can set: `--set` /

@@ -190,6 +190,14 @@ ResultValue
 runSweepPoint(const ExperimentSpec &spec, const RunOptions &base,
               const SweepManifest &m, std::uint64_t p)
 {
+    RunMemo memo;
+    return runSweepPoint(spec, base, m, p, memo);
+}
+
+ResultValue
+runSweepPoint(const ExperimentSpec &spec, const RunOptions &base,
+              const SweepManifest &m, std::uint64_t p, RunMemo &memo)
+{
     RunOptions point = base;
     point.cfg.threads = 1;
     for (const auto &[key, value] : sweepPointParams(m, p)) {
@@ -197,7 +205,23 @@ runSweepPoint(const ExperimentSpec &spec, const RunOptions &base,
         if (!applyConfigOverride(point.cfg, key, value))
             panic("sweep point " + std::to_string(p) + ": bad " + key);
     }
-    return runExperiment(spec, point);
+    return runExperiment(spec, point, memo);
+}
+
+ResultValue
+runSweepInProcess(const ExperimentSpec &spec, const RunOptions &base,
+                  const SweepManifest &m, unsigned threads)
+{
+    const std::uint64_t points = sweepPointCount(m);
+    const unsigned lanes = static_cast<unsigned>(std::max<std::uint64_t>(
+        1, std::min<std::uint64_t>(resolveThreads(threads), points)));
+    std::vector<ResultValue> docs(points);
+    parallelFor(lanes, lanes, [&](std::uint64_t lane) {
+        RunMemo memo;
+        for (std::uint64_t p = lane; p < points; p += lanes)
+            docs[p] = runSweepPoint(spec, base, m, p, memo);
+    });
+    return assembleSweepDoc(m, std::move(docs));
 }
 
 ResultValue
@@ -294,10 +318,11 @@ runSweepShard(const std::string &dir, const SweepManifest &m,
 
     const std::uint64_t kill_after = killAfterForShard(k);
     std::uint64_t completed = 0;
+    RunMemo memo;
     for (const std::uint64_t p : sweepShardPoints(m, k)) {
         if (done.count(p))
             continue;
-        const ResultValue doc = runSweepPoint(*spec, *base, m, p);
+        const ResultValue doc = runSweepPoint(*spec, *base, m, p, memo);
         const std::string bytes = toJson(doc, 2) + "\n";
         if (!writeFileBytes(sweepPointPath(dir, m, p), bytes, err)) {
             std::fclose(journal);

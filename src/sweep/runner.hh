@@ -24,6 +24,14 @@
  * byte-identical to `pifetch sweep` run in one process — the goldens
  * and tests/test_sweep_shard.cc lock this.
  *
+ * A shard runs its points in order against one RunMemo (registry.hh),
+ * so an engine run that does not depend on the swept parameters (the
+ * Figure 10 baselines under a PIF sweep, say) is simulated once per
+ * shard and folded into every later point. The in-process sweep does
+ * the same on min(threads, points) lanes, point p on lane p mod lanes,
+ * one memo per lane. The memo lives only as long as its process or
+ * lane: a resumed shard simulates its shared runs again.
+ *
  * Self-test hook (mirroring `pifetch check --inject-fault`): setting
  * PIFETCH_SWEEP_KILL_AFTER="<shard>:<n>" makes runSweepShard() for
  * that shard raise SIGKILL immediately after journaling its n-th
@@ -86,6 +94,22 @@ std::optional<RunOptions> sweepBaseOptions(const ExperimentSpec &spec,
 ResultValue runSweepPoint(const ExperimentSpec &spec,
                           const RunOptions &base, const SweepManifest &m,
                           std::uint64_t p);
+
+/** runSweepPoint() reusing and extending the engine runs in @p memo. */
+ResultValue runSweepPoint(const ExperimentSpec &spec,
+                          const RunOptions &base, const SweepManifest &m,
+                          std::uint64_t p, RunMemo &memo);
+
+/**
+ * The whole sweep in this process: every grid point on
+ * min(resolveThreads(@p threads), points) lanes, point p on lane
+ * p mod lanes and each lane with its own RunMemo, assembled by
+ * assembleSweepDoc(). Identical to a merged sharded sweep at any
+ * thread count.
+ */
+ResultValue runSweepInProcess(const ExperimentSpec &spec,
+                              const RunOptions &base,
+                              const SweepManifest &m, unsigned threads);
 
 /**
  * Assemble the canonical sweep document from per-point documents

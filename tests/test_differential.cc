@@ -9,6 +9,10 @@
  * TraceEngine and CycleEngine on retired-instruction streams, fetch
  * sequences or miss counts — or any thread-count dependence of the
  * multicore runners at 1 vs 4 workers — fails here first.
+ *
+ * The run-key suite checks the registry's engine run key
+ * (engineRunKey): a config change a run cannot see leaves the run and
+ * its key alone, and every change it can see moves the key.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +22,7 @@
 #include "check/checker.hh"
 #include "check/invariants.hh"
 #include "sim/multicore.hh"
+#include "sim/registry.hh"
 #include "sim/workloads.hh"
 #include "trace/workload_spec.hh"
 
@@ -195,6 +200,266 @@ TEST(WindowedFault, PlantedMiscountIsLocalizedToItsWindow)
         failures[0].detail.find("accesses diverges at instr 2048"),
         std::string::npos)
         << failures[0].detail;
+}
+
+// ------------------------------------------------------- run keys
+
+constexpr PrefetcherKind kAllKinds[] = {
+    PrefetcherKind::None,          PrefetcherKind::NextLine,
+    PrefetcherKind::Tifs,          PrefetcherKind::Discontinuity,
+    PrefetcherKind::Pif,           PrefetcherKind::Perfect,
+};
+
+/** The SystemConfig sections a field can belong to. */
+enum class Section { System, NextLine, Tifs, Pif };
+
+/** Whether a run of @p kind reads @p section. */
+bool
+reads(PrefetcherKind kind, Section section)
+{
+    switch (section) {
+      case Section::System:   return true;
+      case Section::NextLine: return kind == PrefetcherKind::NextLine;
+      case Section::Tifs:     return kind == PrefetcherKind::Tifs;
+      case Section::Pif:      return kind == PrefetcherKind::Pif;
+    }
+    return true;
+}
+
+/** A small db2 run of @p kind on @p engine under the default config. */
+EngineRun
+keyedRun(SimEngine engine, PrefetcherKind kind)
+{
+    EngineRun run;
+    run.engine = engine;
+    run.kind = kind;
+    run.budget.warmup = 20'000;
+    run.budget.measure = 40'000;
+    return run;
+}
+
+/** @p run on db2's @p prog with stream digests on. */
+EngineResult
+digestRun(const EngineRun &run, const Program &prog)
+{
+    const ExecutorConfig exec = executorConfigFor(ServerWorkload::OltpDb2);
+    ObserverConfig obs;
+    obs.digests = true;
+    if (run.engine == SimEngine::Trace) {
+        TraceEngine engine(run.cfg, prog, exec,
+                           makePrefetcher(run.kind, run.cfg,
+                                          run.unbounded));
+        engine.attachObservers(obs);
+        return engine.run(run.budget.warmup, run.budget.measure);
+    }
+    CycleEngine engine(run.cfg, prog, exec, run.kind);
+    engine.attachObservers(obs);
+    return engine.run(run.budget.warmup, run.budget.measure);
+}
+
+/** Every field of two results of one engine is equal. */
+void
+expectIdentical(const EngineResult &a, const EngineResult &b,
+                const std::string &label)
+{
+    std::vector<CheckFailure> failures;
+    if (const auto *ta = std::get_if<TraceRunResult>(&a)) {
+        EXPECT_NE(ta->retireDigest, 0u) << label;
+        checkTraceIdentical(*ta, std::get<TraceRunResult>(b), label,
+                            failures);
+    } else {
+        const auto &ca = std::get<CycleRunResult>(a);
+        const auto &cb = std::get<CycleRunResult>(b);
+        EXPECT_NE(ca.retireDigest, 0u) << label;
+        checkCountersIdentical(ca, cb, label, true, failures);
+        EXPECT_EQ(ca.cycles, cb.cycles) << label;
+        EXPECT_EQ(ca.userInstrs, cb.userInstrs) << label;
+        EXPECT_EQ(ca.uipc, cb.uipc) << label;
+        EXPECT_EQ(ca.fetchStallCycles, cb.fetchStallCycles) << label;
+        EXPECT_EQ(ca.branchPenaltyCycles, cb.branchPenaltyCycles) << label;
+        EXPECT_EQ(ca.demandMisses, cb.demandMisses) << label;
+        EXPECT_EQ(ca.latePrefetches, cb.latePrefetches) << label;
+        EXPECT_EQ(ca.prefetchFills, cb.prefetchFills) << label;
+        EXPECT_EQ(ca.l2Hits, cb.l2Hits) << label;
+        EXPECT_EQ(ca.l2Misses, cb.l2Misses) << label;
+    }
+    for (const CheckFailure &f : failures)
+        ADD_FAILURE() << label << ": " << f.detail;
+}
+
+TEST(RunKey, DroppedFieldsChangeNeitherTheRunNorTheKey)
+{
+    const Program prog = buildWorkloadProgram(ServerWorkload::OltpDb2);
+    const WorkloadRef db2 = ServerWorkload::OltpDb2;
+    // Each dropped section changed in every field at once.
+    struct Drop
+    {
+        const char *name;
+        Section section;
+        void (*apply)(SystemConfig &);
+    };
+    const Drop drops[] = {
+        {"threads", Section::System, [](SystemConfig &c) { c.threads = 3; }},
+        {"nextLine", Section::NextLine,
+         [](SystemConfig &c) { c.nextLine.degree = 7; }},
+        {"tifs", Section::Tifs,
+         [](SystemConfig &c) {
+             c.tifs.historyEntries = 1'024;
+             c.tifs.indexEntries = 512;
+             c.tifs.indexAssoc = 2;
+             c.tifs.numSabs = 2;
+             c.tifs.sabWindowBlocks = 5;
+             c.tifs.unbounded = true;
+         }},
+        {"pif", Section::Pif,
+         [](SystemConfig &c) {
+             c.pif.blocksBefore = 1;
+             c.pif.blocksAfter = 3;
+             c.pif.temporalEntries = 2;
+             c.pif.historyRegions = 2'048;
+             c.pif.indexEntries = 1'024;
+             c.pif.indexAssoc = 2;
+             c.pif.numSabs = 2;
+             c.pif.sabWindowRegions = 3;
+             c.pif.separateTrapLevels = false;
+         }},
+    };
+    for (const SimEngine engine : {SimEngine::Trace, SimEngine::Cycle}) {
+        for (const PrefetcherKind kind : kAllKinds) {
+            const EngineRun base = keyedRun(engine, kind);
+            const EngineResult expected = digestRun(base, prog);
+            for (const Drop &d : drops) {
+                // threads is dropped for every kind.
+                if (d.section != Section::System && reads(kind, d.section))
+                    continue;
+                EngineRun changed = base;
+                d.apply(changed.cfg);
+                const std::string label =
+                    prefetcherName(kind) +
+                    (engine == SimEngine::Trace ? "/trace/" : "/cycle/") +
+                    d.name;
+                EXPECT_EQ(engineRunKey(db2, changed),
+                          engineRunKey(db2, base))
+                    << label;
+                expectIdentical(digestRun(changed, prog), expected, label);
+            }
+        }
+    }
+}
+
+TEST(RunKey, EveryReadFieldChangesTheKey)
+{
+    struct Field
+    {
+        std::string name;
+        Section section;
+        std::function<void(SystemConfig &)> apply;
+    };
+    std::vector<Field> fields;
+    // Every --set key but threads, set to a value no default has.
+    for (const std::string &key : configOverrideKeys()) {
+        if (key == "threads")
+            continue;
+        const Section section = key.rfind("pif.", 0) == 0 ? Section::Pif
+            : key.rfind("tifs.", 0) == 0                  ? Section::Tifs
+            : key.rfind("nextLine.", 0) == 0 ? Section::NextLine
+                                             : Section::System;
+        fields.push_back({key, section, [key](SystemConfig &c) {
+                              ASSERT_TRUE(
+                                  applyConfigOverride(c, key, "6") ||
+                                  applyConfigOverride(c, key, "false"))
+                                  << key;
+                          }});
+    }
+    // The fields engines read that no --set key reaches.
+    const auto add = [&fields](const char *name, Section section,
+                               void (*apply)(SystemConfig &)) {
+        fields.push_back({name, section, apply});
+    };
+    add("l1i.blockBytes", Section::System,
+        [](SystemConfig &c) { c.l1i.blockBytes = 32; });
+    add("l1i.hitLatency", Section::System,
+        [](SystemConfig &c) { c.l1i.hitLatency = 3; });
+    add("branch.gshareEntries", Section::System,
+        [](SystemConfig &c) { c.branch.gshareEntries = 1'024; });
+    add("branch.bimodalEntries", Section::System,
+        [](SystemConfig &c) { c.branch.bimodalEntries = 1'024; });
+    add("branch.chooserEntries", Section::System,
+        [](SystemConfig &c) { c.branch.chooserEntries = 1'024; });
+    add("branch.historyBits", Section::System,
+        [](SystemConfig &c) { c.branch.historyBits = 10; });
+    add("branch.btbEntries", Section::System,
+        [](SystemConfig &c) { c.branch.btbEntries = 1'024; });
+    add("branch.btbAssoc", Section::System,
+        [](SystemConfig &c) { c.branch.btbAssoc = 2; });
+    add("branch.rasEntries", Section::System,
+        [](SystemConfig &c) { c.branch.rasEntries = 16; });
+    add("core.fetchQueueEntries", Section::System,
+        [](SystemConfig &c) { c.core.fetchQueueEntries = 12; });
+    add("core.frontendDepth", Section::System,
+        [](SystemConfig &c) { c.core.frontendDepth = 4; });
+    add("core.minResolveCycles", Section::System,
+        [](SystemConfig &c) { c.core.minResolveCycles = 5; });
+    add("core.maxResolveCycles", Section::System,
+        [](SystemConfig &c) { c.core.maxResolveCycles = 20; });
+    add("core.dataStallFraction", Section::System,
+        [](SystemConfig &c) { c.core.dataStallFraction = 0.03; });
+    add("core.dataStallCycles", Section::System,
+        [](SystemConfig &c) { c.core.dataStallCycles = 30; });
+    add("memory.l2SizeBytes", Section::System,
+        [](SystemConfig &c) { c.memory.l2SizeBytes = 4u << 20; });
+    add("memory.l2Assoc", Section::System,
+        [](SystemConfig &c) { c.memory.l2Assoc = 8; });
+    add("memory.l2Mshrs", Section::System,
+        [](SystemConfig &c) { c.memory.l2Mshrs = 32; });
+    add("memory.interconnectLatency", Section::System,
+        [](SystemConfig &c) { c.memory.interconnectLatency = 12; });
+    add("pif.indexAssoc", Section::Pif,
+        [](SystemConfig &c) { c.pif.indexAssoc = 2; });
+    add("tifs.indexEntries", Section::Tifs,
+        [](SystemConfig &c) { c.tifs.indexEntries = 512; });
+    add("tifs.indexAssoc", Section::Tifs,
+        [](SystemConfig &c) { c.tifs.indexAssoc = 2; });
+    add("tifs.numSabs", Section::Tifs,
+        [](SystemConfig &c) { c.tifs.numSabs = 2; });
+
+    const WorkloadRef db2 = ServerWorkload::OltpDb2;
+    for (const SimEngine engine : {SimEngine::Trace, SimEngine::Cycle}) {
+        for (const PrefetcherKind kind : kAllKinds) {
+            const EngineRun base = keyedRun(engine, kind);
+            const std::string key = engineRunKey(db2, base);
+            const std::string label =
+                prefetcherName(kind) +
+                (engine == SimEngine::Trace ? "/trace/" : "/cycle/");
+            for (const Field &f : fields) {
+                EngineRun changed = base;
+                f.apply(changed.cfg);
+                if (reads(kind, f.section)) {
+                    EXPECT_NE(engineRunKey(db2, changed), key)
+                        << label << f.name;
+                } else {
+                    EXPECT_EQ(engineRunKey(db2, changed), key)
+                        << label << f.name;
+                }
+            }
+
+            EngineRun other = base;
+            other.engine = engine == SimEngine::Trace ? SimEngine::Cycle
+                                                      : SimEngine::Trace;
+            EXPECT_NE(engineRunKey(db2, other), key) << label << "engine";
+            other = base;
+            other.unbounded = true;
+            EXPECT_NE(engineRunKey(db2, other), key) << label << "unbounded";
+            other = base;
+            ++other.budget.warmup;
+            EXPECT_NE(engineRunKey(db2, other), key) << label << "warmup";
+            other = base;
+            ++other.budget.measure;
+            EXPECT_NE(engineRunKey(db2, other), key) << label << "measure";
+            EXPECT_NE(engineRunKey(ServerWorkload::WebApache, base), key)
+                << label << "workload";
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -105,6 +105,23 @@ TEST(LintRules, EveryBadFixtureFiresItsOwnRule)
     }
 }
 
+TEST(LintRules, AllocInMemberInitializerListIsConstruction)
+{
+    // Out-of-line delegation, as PifPrefetcher's owning constructor
+    // does; a non-constructor on the same file still fires.
+    const std::vector<Finding> fs = lintSource(
+        "src/pif/fixture.cc",
+        "#include <memory>\n"
+        "Table::Table(int n)\n"
+        "    : Table(n, std::make_shared<Slab>(n))\n"
+        "{\n"
+        "}\n"
+        "void Table::onFetch(int n) { slab_ = std::make_shared<Slab>(n); }\n",
+        {"H-alloc"});
+    ASSERT_EQ(fs.size(), 1u);
+    EXPECT_EQ(fs[0].violation.line, 6u);
+}
+
 TEST(LintRules, CatalogIsWellFormed)
 {
     std::set<std::string> ids;

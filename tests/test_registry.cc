@@ -111,6 +111,69 @@ TEST(Registry, ResultsAreThreadCountInvariant)
     }
 }
 
+/** Options of the run-count tests: @p workloads at a small budget. */
+RunOptions
+countOptions(std::vector<WorkloadRef> workloads)
+{
+    RunOptions opts = tinyOptions();
+    opts.budget->warmup = 20'000;
+    opts.budget->measure = 40'000;
+    opts.workloads = std::move(workloads);
+    opts.cfg.threads = 3;
+    return opts;
+}
+
+TEST(RunMemo, AblationSimulatesTheDefaultPifRunOnce)
+{
+    // Compactor depth 4, 4 SABs x 7 regions and separate trap levels
+    // are all the default PIF configuration: 25 points, 23 runs.
+    const ExperimentSpec *spec = findExperiment("ablation");
+    ASSERT_NE(spec, nullptr);
+    RunMemo memo;
+    const ResultValue doc =
+        runExperiment(*spec, countOptions({ServerWorkload::OltpDb2}), memo);
+    EXPECT_EQ(memo.executed, 23u);
+    EXPECT_EQ(memo.reused, 2u);
+    EXPECT_EQ(memo.results.size(), 21u);  // the two shared studies: no key
+
+    // The three default rows report the one run.
+    const ResultValue &tables = *doc.find("tables");
+    const ResultValue &depth4 = tables.at(0).find("rows")->at(2);
+    const ResultValue &sab4x7 = tables.at(1).find("rows")->at(7);
+    const ResultValue &separate = tables.at(2).find("rows")->at(1);
+    EXPECT_EQ(depth4.at(0).uintValue(), 4u);
+    EXPECT_EQ(sab4x7.at(0).uintValue(), 4u);
+    EXPECT_EQ(sab4x7.at(1).uintValue(), 7u);
+    EXPECT_EQ(toJson(depth4.at(1)), toJson(sab4x7.at(2)));
+    EXPECT_EQ(toJson(depth4.at(1)), toJson(separate.at(1)));
+}
+
+TEST(RunMemo, Fig10SpeedupRepeatsNoRun)
+{
+    const ExperimentSpec *spec = findExperiment("fig10-speedup");
+    ASSERT_NE(spec, nullptr);
+    RunMemo memo;
+    runExperiment(*spec, countOptions(spec->defaultWorkloads), memo);
+    EXPECT_EQ(memo.executed, 30u);
+    EXPECT_EQ(memo.reused, 0u);
+}
+
+TEST(RunMemo, CarriedMemoFoldsEveryRunOfARepeatedExperiment)
+{
+    const ExperimentSpec *spec = findExperiment("fig10-coverage");
+    ASSERT_NE(spec, nullptr);
+    const RunOptions opts = countOptions(
+        {ServerWorkload::OltpDb2, ServerWorkload::WebApache});
+    RunMemo memo;
+    ResultValue first = runExperiment(*spec, opts, memo);
+    EXPECT_EQ(memo.executed, 8u);
+    EXPECT_EQ(memo.reused, 0u);
+    ResultValue again = runExperiment(*spec, opts, memo);
+    EXPECT_EQ(memo.executed, 8u);
+    EXPECT_EQ(memo.reused, 8u);
+    EXPECT_EQ(toJson(*first.find("tables")), toJson(*again.find("tables")));
+}
+
 TEST(ConfigOverrides, ApplyParseAndReject)
 {
     SystemConfig cfg;
@@ -121,9 +184,11 @@ TEST(ConfigOverrides, ApplyParseAndReject)
     EXPECT_TRUE(applyConfigOverride(cfg, "pif.separateTrapLevels",
                                     "off"));
     EXPECT_FALSE(cfg.pif.separateTrapLevels);
-    EXPECT_TRUE(applyConfigOverride(cfg, "trap.perInstrProbability",
-                                    "1e-4"));
-    EXPECT_DOUBLE_EQ(cfg.trap.perInstrProbability, 1e-4);
+    // No simulation reads an interrupt-rate knob from the config (the
+    // executor takes it from the workload), so there is no such key.
+    EXPECT_FALSE(applyConfigOverride(cfg, "trap.perInstrProbability",
+                                     "1e-4"));
+    EXPECT_FALSE(applyConfigOverride(cfg, "trap.handlerCount", "12"));
     EXPECT_TRUE(applyConfigOverride(cfg, "nextLine.degree", "8"));
     EXPECT_EQ(cfg.nextLine.degree, 8u);
 

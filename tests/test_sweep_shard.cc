@@ -221,6 +221,67 @@ class SweepShardTest : public ::testing::Test
     SweepManifest m_;
 };
 
+TEST_F(SweepShardTest, InProcessSweepMatchesMergedShardsAtAnyThreadCount)
+{
+    std::string err;
+    ASSERT_TRUE(initSweepDir(dir_, m_, &err)) << err;
+    ASSERT_TRUE(runSweepShard(dir_, m_, 0, false, &err)) << err;
+    ASSERT_TRUE(runSweepShard(dir_, m_, 1, false, &err)) << err;
+    const auto merged = mergeShardedSweep(dir_, m_, &err);
+    ASSERT_TRUE(merged.has_value()) << err;
+
+    const ExperimentSpec *spec = findExperiment(m_.experiment);
+    ASSERT_NE(spec, nullptr);
+    const auto base = sweepBaseOptions(*spec, m_, &err);
+    ASSERT_TRUE(base.has_value()) << err;
+    // 1 lane; 3 lanes (lane 0 runs points 0 and 3); one lane a point.
+    for (const unsigned threads : {1u, 3u, 4u}) {
+        EXPECT_EQ(toJson(runSweepInProcess(*spec, *base, m_, threads), 2),
+                  toJson(*merged, 2))
+            << threads << " threads";
+    }
+}
+
+/** Engine runs a shard-by-shard pass over @p m simulates. */
+std::uint64_t
+shardRuns(const SweepManifest &m)
+{
+    const ExperimentSpec *spec = findExperiment(m.experiment);
+    std::string err;
+    const auto base = sweepBaseOptions(*spec, m, &err);
+    EXPECT_TRUE(base.has_value()) << err;
+    std::uint64_t executed = 0;
+    for (unsigned k = 0; k < m.shards; ++k) {
+        RunMemo memo;
+        for (const std::uint64_t p : sweepShardPoints(m, k))
+            runSweepPoint(*spec, *base, m, p, memo);
+        EXPECT_EQ(memo.executed + memo.reused,
+                  4 * sweepShardPoints(m, k).size());
+        executed += memo.executed;
+    }
+    return executed;
+}
+
+TEST(SweepRunCounts, ShardsSimulateTheBaselinesOnce)
+{
+    // fig10-coverage's None, Next-Line and TIFS runs ignore pif.*, so
+    // a shard simulates them once and PIF once per point.
+    SweepManifest m;
+    m.experiment = "fig10-coverage";
+    m.workloads = {{"db2", false}};
+    m.warmup = 400;
+    m.measure = 1500;
+    m.axes = {{"pif.numSabs", {"1", "2"}}};
+    m.shards = 1;
+    EXPECT_EQ(shardRuns(m), 5u);
+
+    // The benchmark's SAB grid in 4 shards: 20 runs for 8 points.
+    m.axes = {{"pif.numSabs", {"1", "2", "4", "8"}},
+              {"pif.sabWindowRegions", {"3", "7"}}};
+    m.shards = 4;
+    EXPECT_EQ(shardRuns(m), 20u);
+}
+
 TEST_F(SweepShardTest, KilledShardResumesToByteIdenticalMergedTree)
 {
     std::string err;
