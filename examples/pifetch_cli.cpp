@@ -650,12 +650,8 @@ cmdSweep(Cli &cli)
         } else if (!initSweepDir(dir, manifest, &err)) {
             return cli.error(err, 1);
         }
-        const std::string exe = selfExePath();
-        if (exe.empty())
-            return cli.error("cannot resolve own executable path for "
-                             "shard workers", 1);
-        if (!runShardedSweep(dir, manifest, exe, a.run.cfg.threads,
-                             resume, &err))
+        if (!runShardedSweep(dir, manifest, a.run.cfg.threads, resume,
+                             &err))
             return cli.error(err, 1);
         const auto doc = mergeShardedSweep(dir, manifest, &err);
         if (!doc)

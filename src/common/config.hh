@@ -114,7 +114,6 @@ struct TifsConfig
     unsigned indexAssoc = 4;
     unsigned numSabs = 4;
     unsigned sabWindowBlocks = 12;
-    bool unbounded = false;  //!< Fig. 10 uses no storage limitation
 };
 
 /** Next-line prefetcher parameters. */

@@ -11,12 +11,14 @@ namespace {
 constexpr std::size_t queueCap = 256;
 } // namespace
 
-TifsPrefetcher::TifsPrefetcher(const TifsConfig &cfg)
+TifsPrefetcher::TifsPrefetcher(const TifsConfig &cfg,
+                               bool unbounded_storage)
     : cfg_(cfg),
-      index_(cfg.unbounded ? 0 : cfg.indexEntries, cfg.indexAssoc),
+      unbounded_(unbounded_storage),
+      index_(unbounded_storage ? 0 : cfg.indexEntries, cfg.indexAssoc),
       streams_(cfg.numSabs)
 {
-    if (!cfg_.unbounded)
+    if (!unbounded_)
         ring_.resize(cfg_.historyEntries);
 }
 
@@ -24,7 +26,7 @@ void
 TifsPrefetcher::record(Addr block)
 {
     const std::uint64_t seq = tail_++;
-    if (cfg_.unbounded) {
+    if (unbounded_) {
         ring_.push_back(block);
     } else {
         ring_[seq % cfg_.historyEntries] = block;
@@ -37,13 +39,13 @@ TifsPrefetcher::valid(std::uint64_t seq) const
 {
     if (seq >= tail_)
         return false;
-    return cfg_.unbounded || tail_ - seq <= cfg_.historyEntries;
+    return unbounded_ || tail_ - seq <= cfg_.historyEntries;
 }
 
 Addr
 TifsPrefetcher::at(std::uint64_t seq) const
 {
-    return cfg_.unbounded ? ring_[seq] : ring_[seq % cfg_.historyEntries];
+    return unbounded_ ? ring_[seq] : ring_[seq % cfg_.historyEntries];
 }
 
 void
@@ -138,7 +140,7 @@ TifsPrefetcher::drainRequests(std::vector<Addr> &out, unsigned max)
 void
 TifsPrefetcher::reset()
 {
-    if (cfg_.unbounded)
+    if (unbounded_)
         ring_.clear();
     tail_ = 0;
     index_.reset();

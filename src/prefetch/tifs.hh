@@ -30,7 +30,13 @@ namespace pifetch {
 class TifsPrefetcher final : public Prefetcher
 {
   public:
-    explicit TifsPrefetcher(const TifsConfig &cfg);
+    /**
+     * @param cfg TIFS design parameters.
+     * @param unbounded_storage Remove history/index capacity limits
+     *        (the Figure 10 "no storage limitation" configuration).
+     */
+    explicit TifsPrefetcher(const TifsConfig &cfg,
+                            bool unbounded_storage = false);
 
     std::string name() const override { return "TIFS"; }
 
@@ -66,6 +72,7 @@ class TifsPrefetcher final : public Prefetcher
     void enqueue(Addr block);
 
     TifsConfig cfg_;
+    bool unbounded_;
     std::vector<Addr> ring_;
     std::uint64_t tail_ = 0;
     IndexTable index_;

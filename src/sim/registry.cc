@@ -886,10 +886,20 @@ sameWorkload(const WorkloadRef &a, const WorkloadRef &b)
                       : !b.isSpec() && a.preset() == b.preset();
 }
 
-/**
- * Run @p stages in order and return every point's result in
- * stage-then-point order.
- *
+/** @p opts with the spec's default workloads and budget filled in. */
+RunOptions
+resolvedOptions(const ExperimentSpec &spec, RunOptions opts)
+{
+    if (opts.workloads.empty())
+        opts.workloads = spec.defaultWorkloads;
+    if (!opts.budget)
+        opts.budget = spec.defaultBudget;
+    return opts;
+}
+
+} // namespace
+
+/*
  * The whole run is planned against @p memo before the pool starts: an
  * engine point whose key @p memo holds, or whose key an earlier point
  * of the plan runs, folds the stored result; every other point runs.
@@ -959,7 +969,7 @@ runStages(const std::vector<ExperimentStage> &stages, unsigned threads,
                                      std::move(*simulated[j]));
         }
         for (std::size_t i = 0; i < stage.size(); ++i) {
-            if (stage[i].engine)
+            if (stage[i].fold)
                 out[i] = stage[i].fold(memo.results.at(keys[s][i]));
             results.push_back(std::move(out[i]));
         }
@@ -967,18 +977,11 @@ runStages(const std::vector<ExperimentStage> &stages, unsigned threads,
     return results;
 }
 
-/** @p opts with the spec's default workloads and budget filled in. */
-RunOptions
-resolvedOptions(const ExperimentSpec &spec, RunOptions opts)
+std::vector<ExperimentStage>
+experimentStages(const ExperimentSpec &spec, const RunOptions &opts)
 {
-    if (opts.workloads.empty())
-        opts.workloads = spec.defaultWorkloads;
-    if (!opts.budget)
-        opts.budget = spec.defaultBudget;
-    return opts;
+    return spec.points(resolvedOptions(spec, opts));
 }
-
-} // namespace
 
 const std::vector<ExperimentSpec> &
 experimentRegistry()
@@ -1185,7 +1188,7 @@ engineRunKey(const WorkloadRef &w, const EngineRun &run)
               p.sabWindowRegions, p.separateTrapLevels);
     const TifsConfig &t = c.tifs;
     putFields(key, t.historyEntries, t.indexEntries, t.indexAssoc,
-              t.numSabs, t.sabWindowBlocks, t.unbounded);
+              t.numSabs, t.sabWindowBlocks);
     putFields(key, c.nextLine.degree, c.numCores, c.seed, c.threads);
     return key;
 }

@@ -117,8 +117,9 @@ std::string engineRunKey(const WorkloadRef &w, const EngineRun &run);
  * engine point sets `engine` and `fold`: the scheduler simulates the
  * run (or reuses an equal-keyed one) and folds its result into the
  * point's small ResultValue (a table row, a few cells or a single
- * number). An analysis-only point sets `run` instead, a function of
- * the workload and its Program; it has no key and always runs.
+ * number); without a fold it only fills the memo and its result is
+ * null. An analysis-only point sets `run` instead, a function of the
+ * workload and its Program; it has no key and always runs.
  */
 struct ExperimentPoint
 {
@@ -131,8 +132,9 @@ struct ExperimentPoint
 /**
  * Engine results by run key, owned by whoever calls the scheduler:
  * runExperiment() uses a fresh memo per call, a sweep shard (or an
- * in-process sweep lane) one memo across its grid points. The counts
- * are deterministic: they follow from the plan, not the schedule.
+ * in-process sweep lane) one memo across its grid points, seeded with
+ * the sweep's shared runs (sweep/runner.hh). The counts are
+ * deterministic: they follow from the plan, not the schedule.
  */
 struct RunMemo
 {
@@ -183,6 +185,22 @@ const std::vector<ExperimentSpec> &experimentRegistry();
 
 /** Look up a spec by name (nullptr when absent). */
 const ExperimentSpec *findExperiment(const std::string &name);
+
+/**
+ * The stages runExperiment(@p spec, @p opts) runs: spec.points of
+ * @p opts with the spec's default workloads and budget filled in.
+ */
+std::vector<ExperimentStage> experimentStages(const ExperimentSpec &spec,
+                                              const RunOptions &opts);
+
+/**
+ * The scheduler: run @p stages in order on one pool of
+ * min(resolveThreads(@p threads), most runs in a stage) lanes, each
+ * distinct engine run once per @p memo, and return every point's
+ * result in stage-then-point order.
+ */
+std::vector<ResultValue> runStages(const std::vector<ExperimentStage> &stages,
+                                   unsigned threads, RunMemo &memo);
 
 /**
  * Run @p spec with @p opts and wrap the body in the full document

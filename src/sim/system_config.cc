@@ -39,11 +39,8 @@ makePrefetcher(PrefetcherKind kind, const SystemConfig &cfg,
         return std::make_unique<NullPrefetcher>();
       case PrefetcherKind::NextLine:
         return std::make_unique<NextLinePrefetcher>(cfg.nextLine);
-      case PrefetcherKind::Tifs: {
-        TifsConfig tc = cfg.tifs;
-        tc.unbounded = unbounded;
-        return std::make_unique<TifsPrefetcher>(tc);
-      }
+      case PrefetcherKind::Tifs:
+        return std::make_unique<TifsPrefetcher>(cfg.tifs, unbounded);
       case PrefetcherKind::Discontinuity:
         return std::make_unique<DiscontinuityPrefetcher>(
             DiscontinuityConfig{});

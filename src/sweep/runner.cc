@@ -15,7 +15,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -186,6 +188,25 @@ sweepBaseOptions(const ExperimentSpec &spec, const SweepManifest &m,
     return base;
 }
 
+namespace {
+
+/** @p base plus point @p p's axis assignment, threads pinned to 1. */
+RunOptions
+sweepPointOptions(const RunOptions &base, const SweepManifest &m,
+                  std::uint64_t p)
+{
+    RunOptions point = base;
+    point.cfg.threads = 1;
+    for (const auto &[key, value] : sweepPointParams(m, p)) {
+        // Manifests are validated on load (validateSweepConfig).
+        if (!applyConfigOverride(point.cfg, key, value))
+            panic("sweep point " + std::to_string(p) + ": bad " + key);
+    }
+    return point;
+}
+
+} // namespace
+
 ResultValue
 runSweepPoint(const ExperimentSpec &spec, const RunOptions &base,
               const SweepManifest &m, std::uint64_t p)
@@ -198,14 +219,52 @@ ResultValue
 runSweepPoint(const ExperimentSpec &spec, const RunOptions &base,
               const SweepManifest &m, std::uint64_t p, RunMemo &memo)
 {
-    RunOptions point = base;
-    point.cfg.threads = 1;
-    for (const auto &[key, value] : sweepPointParams(m, p)) {
-        // Manifests are validated on load (validateSweepConfig).
-        if (!applyConfigOverride(point.cfg, key, value))
-            panic("sweep point " + std::to_string(p) + ": bad " + key);
+    return runExperiment(spec, sweepPointOptions(base, m, p), memo);
+}
+
+SweepPlan
+planSweep(const ExperimentSpec &spec, const RunOptions &base,
+          const SweepManifest &m,
+          const std::vector<std::vector<std::uint64_t>> &owners)
+{
+    SweepPlan plan;
+    plan.ownerRuns.assign(owners.size(), 0);
+    // Per key: its first owner, whether another owner needs it too,
+    // and a memo-filling point that runs it.
+    struct Need
+    {
+        std::size_t owner;
+        bool shared;
+        ExperimentPoint point;
+    };
+    std::map<std::string, Need> needs;
+    for (std::size_t o = 0; o < owners.size(); ++o) {
+        for (const std::uint64_t p : owners[o]) {
+            for (const ExperimentStage &stage :
+                 experimentStages(spec, sweepPointOptions(base, m, p))) {
+                for (const ExperimentPoint &point : stage) {
+                    if (!point.engine) {
+                        ++plan.ownerRuns[o];  // analysis always runs
+                        continue;
+                    }
+                    const auto [it, fresh] = needs.try_emplace(
+                        engineRunKey(point.workload, *point.engine),
+                        Need{o, false,
+                             {point.workload, nullptr, point.engine,
+                              nullptr}});
+                    if (!fresh && it->second.owner != o)
+                        it->second.shared = true;
+                }
+            }
+        }
     }
-    return runExperiment(spec, point, memo);
+    for (auto &[key, need] : needs) {
+        if (need.shared)
+            plan.shared.push_back(std::move(need.point));
+        else
+            ++plan.ownerRuns[need.owner];
+    }
+    return plan;
 }
 
 ResultValue
@@ -215,10 +274,16 @@ runSweepInProcess(const ExperimentSpec &spec, const RunOptions &base,
     const std::uint64_t points = sweepPointCount(m);
     const unsigned lanes = static_cast<unsigned>(std::max<std::uint64_t>(
         1, std::min<std::uint64_t>(resolveThreads(threads), points)));
+    std::vector<std::vector<std::uint64_t>> owners(lanes);
+    for (std::uint64_t p = 0; p < points; ++p)
+        owners[p % lanes].push_back(p);
+    RunMemo shared;
+    runStages({planSweep(spec, base, m, owners).shared}, threads, shared);
+
     std::vector<ResultValue> docs(points);
     parallelFor(lanes, lanes, [&](std::uint64_t lane) {
-        RunMemo memo;
-        for (std::uint64_t p = lane; p < points; p += lanes)
+        RunMemo memo = shared;
+        for (const std::uint64_t p : owners[lane])
             docs[p] = runSweepPoint(spec, base, m, p, memo);
     });
     return assembleSweepDoc(m, std::move(docs));
@@ -285,9 +350,49 @@ journaledCompletePoints(const std::string &dir, const SweepManifest &m,
     return complete;
 }
 
+namespace {
+
+/** Shard @p k's points, less the journaled ones with @p resume. */
+std::vector<std::uint64_t>
+shardPendingPoints(const std::string &dir, const SweepManifest &m,
+                   unsigned k, bool resume)
+{
+    std::set<std::uint64_t> done;
+    if (resume) {
+        for (const std::uint64_t p : journaledCompletePoints(dir, m, k))
+            done.insert(p);
+    }
+    std::vector<std::uint64_t> pending;
+    for (const std::uint64_t p : sweepShardPoints(m, k)) {
+        if (!done.count(p))
+            pending.push_back(p);
+    }
+    return pending;
+}
+
+} // namespace
+
+std::vector<std::vector<std::uint64_t>>
+pendingShardPoints(const std::string &dir, const SweepManifest &m,
+                   bool resume)
+{
+    std::vector<std::vector<std::uint64_t>> pending;
+    for (unsigned k = 0; k < m.shards; ++k)
+        pending.push_back(shardPendingPoints(dir, m, k, resume));
+    return pending;
+}
+
 bool
 runSweepShard(const std::string &dir, const SweepManifest &m,
               unsigned k, bool resume, std::string *err)
+{
+    RunMemo memo;
+    return runSweepShard(dir, m, k, resume, memo, err);
+}
+
+bool
+runSweepShard(const std::string &dir, const SweepManifest &m,
+              unsigned k, bool resume, RunMemo &memo, std::string *err)
 {
     if (k >= m.shards)
         return setErr(err, "shard " + std::to_string(k) +
@@ -302,11 +407,8 @@ runSweepShard(const std::string &dir, const SweepManifest &m,
     if (!ensureDir(sweepShardDir(dir, k), err))
         return false;
 
-    std::set<std::uint64_t> done;
-    if (resume) {
-        for (const std::uint64_t p : journaledCompletePoints(dir, m, k))
-            done.insert(p);
-    }
+    const std::vector<std::uint64_t> pending =
+        shardPendingPoints(dir, m, k, resume);
 
     // Append when resuming (the valid prefix stays authoritative);
     // truncate on a fresh run so stale entries cannot satisfy a
@@ -318,10 +420,7 @@ runSweepShard(const std::string &dir, const SweepManifest &m,
 
     const std::uint64_t kill_after = killAfterForShard(k);
     std::uint64_t completed = 0;
-    RunMemo memo;
-    for (const std::uint64_t p : sweepShardPoints(m, k)) {
-        if (done.count(p))
-            continue;
+    for (const std::uint64_t p : pending) {
         const ResultValue doc = runSweepPoint(*spec, *base, m, p, memo);
         const std::string bytes = toJson(doc, 2) + "\n";
         if (!writeFileBytes(sweepPointPath(dir, m, p), bytes, err)) {
@@ -383,36 +482,49 @@ mergeShardedSweep(const std::string &dir, const SweepManifest &m,
 
 bool
 runShardedSweep(const std::string &dir, const SweepManifest &m,
-                const std::string &exe, unsigned threads, bool resume,
-                std::string *err)
+                unsigned threads, bool resume, std::string *err)
 {
+    const ExperimentSpec *spec = findExperiment(m.experiment);
+    if (!spec)
+        return setErr(err, "unknown experiment '" + m.experiment + "'");
+    const auto base = sweepBaseOptions(*spec, m, err);
+    if (!base)
+        return false;
+    // runStages joins its pool before it returns, so this process is
+    // single-threaded at every fork below.
+    RunMemo shared;
+    runStages(
+        {planSweep(*spec, *base, m, pendingShardPoints(dir, m, resume))
+             .shared},
+        threads, shared);
+
     const unsigned width = std::max(
         1u, std::min(resolveThreads(threads), m.shards));
-
     std::vector<std::pair<pid_t, unsigned>> running;
     std::vector<unsigned> failed;
     unsigned next = 0;
     while (next < m.shards || !running.empty()) {
         while (running.size() < width && next < m.shards) {
             const unsigned k = next++;
-            const std::string shard_arg = std::to_string(k);
             const pid_t pid = fork();
             if (pid < 0)
                 return setErr(err, "fork failed launching shard " +
-                                       shard_arg);
+                                       std::to_string(k));
             if (pid == 0) {
-                std::vector<const char *> args = {
-                    exe.c_str(), "sweep", "--dir", dir.c_str(),
-                    "--shard", shard_arg.c_str()};
-                if (resume)
-                    args.push_back("--resume");
-                args.push_back(nullptr);
-                execv(exe.c_str(),
-                      const_cast<char *const *>(args.data()));
-                // Only reached when exec itself failed.
-                std::fprintf(stderr, "pifetch sweep: cannot exec %s\n",
-                             exe.c_str());
-                _exit(127);
+                // The worker: its own copy of the shared memo, and an
+                // exit that skips the parent's atexit and stdio state.
+                std::string shard_err;
+                bool ok = false;
+                try {
+                    ok = runSweepShard(dir, m, k, resume, shared,
+                                       &shard_err);
+                } catch (const std::exception &e) {
+                    shard_err = e.what();
+                }
+                if (!ok)
+                    std::fprintf(stderr, "pifetch sweep: shard %u: %s\n",
+                                 k, shard_err.c_str());
+                _exit(ok ? 0 : 1);
             }
             running.emplace_back(pid, k);
         }
@@ -445,17 +557,6 @@ runShardedSweep(const std::string &dir, const SweepManifest &m,
         return setErr(err, msg);
     }
     return true;
-}
-
-std::string
-selfExePath()
-{
-    char buf[4096];
-    const ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n <= 0)
-        return "";
-    buf[n] = '\0';
-    return buf;
 }
 
 } // namespace pifetch

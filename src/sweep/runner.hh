@@ -24,13 +24,20 @@
  * byte-identical to `pifetch sweep` run in one process — the goldens
  * and tests/test_sweep_shard.cc lock this.
  *
- * A shard runs its points in order against one RunMemo (registry.hh),
- * so an engine run that does not depend on the swept parameters (the
- * Figure 10 baselines under a PIF sweep, say) is simulated once per
- * shard and folded into every later point. The in-process sweep does
- * the same on min(threads, points) lanes, point p on lane p mod lanes,
- * one memo per lane. The memo lives only as long as its process or
- * lane: a resumed shard simulates its shared runs again.
+ * A sweep plans its engine runs before it simulates any (planSweep).
+ * Each pending grid point has one owner: shard sweepPointShard(p,
+ * shards), or lane p mod lanes of an in-process sweep. A run key that
+ * two or more owners need is a shared run; the scheduler simulates
+ * the shared runs once, on its own pool, and every owner starts from
+ * a RunMemo (registry.hh) seeded with them. An owner runs its points
+ * in order against that memo, so each distinct engine run of the
+ * sweep is simulated once: a PIF sweep of Figure 10 simulates the
+ * None, Next-Line and TIFS baselines once in all, and PIF once per
+ * point. Shard workers are forked, not exec'd, after the scheduler's
+ * pool is joined, so they inherit the memo with no file format. A
+ * resumed sweep plans only the points whose journal entries do not
+ * check out. A standalone worker (`pifetch sweep --shard K`) has no
+ * scheduler and simulates all of its own runs.
  *
  * Self-test hook (mirroring `pifetch check --inject-fault`): setting
  * PIFETCH_SWEEP_KILL_AFTER="<shard>:<n>" makes runSweepShard() for
@@ -101,11 +108,31 @@ ResultValue runSweepPoint(const ExperimentSpec &spec,
                           std::uint64_t p, RunMemo &memo);
 
 /**
+ * The engine runs of a sweep's pending points, planned by owner:
+ * @p owners lists each owner's grid points, in the order it runs
+ * them.
+ */
+struct SweepPlan
+{
+    /** One memo-filling engine point per shared run (a key two or
+     *  more owners need), in run-key order. */
+    ExperimentStage shared;
+    /** Per owner, the runs it simulates or analyses itself once its
+     *  memo holds the shared runs. */
+    std::vector<std::uint64_t> ownerRuns;
+};
+
+/** Plan @p owners' points of sweep @p m (base options @p base). */
+SweepPlan planSweep(const ExperimentSpec &spec, const RunOptions &base,
+                    const SweepManifest &m,
+                    const std::vector<std::vector<std::uint64_t>> &owners);
+
+/**
  * The whole sweep in this process: every grid point on
  * min(resolveThreads(@p threads), points) lanes, point p on lane
- * p mod lanes and each lane with its own RunMemo, assembled by
- * assembleSweepDoc(). Identical to a merged sharded sweep at any
- * thread count.
+ * p mod lanes and each lane with its own RunMemo seeded with the
+ * lanes' shared runs, assembled by assembleSweepDoc(). Identical to a
+ * merged sharded sweep at any thread count.
  */
 ResultValue runSweepInProcess(const ExperimentSpec &spec,
                               const RunOptions &base,
@@ -131,6 +158,14 @@ journaledCompletePoints(const std::string &dir, const SweepManifest &m,
                         unsigned k);
 
 /**
+ * Per shard, the points it still has to run: all of them, or with
+ * @p resume those that are not journaled complete.
+ */
+std::vector<std::vector<std::uint64_t>>
+pendingShardPoints(const std::string &dir, const SweepManifest &m,
+                   bool resume);
+
+/**
  * Run every point shard @p k owns, writing point files and the
  * completion journal under `<dir>/shards/shard-<k>`. With @p resume,
  * journaled-complete points are skipped; without it the shard starts
@@ -138,6 +173,11 @@ journaledCompletePoints(const std::string &dir, const SweepManifest &m,
  */
 bool runSweepShard(const std::string &dir, const SweepManifest &m,
                    unsigned k, bool resume, std::string *err = nullptr);
+
+/** runSweepShard() reusing and extending the engine runs in @p memo. */
+bool runSweepShard(const std::string &dir, const SweepManifest &m,
+                   unsigned k, bool resume, RunMemo &memo,
+                   std::string *err = nullptr);
 
 /**
  * Assemble the merged document from a sweep directory whose shards
@@ -150,17 +190,17 @@ mergeShardedSweep(const std::string &dir, const SweepManifest &m,
                   std::string *err = nullptr);
 
 /**
- * The scheduler: launch one child process per shard (at most
- * resolveThreads(@p threads) concurrently, so PIFETCH_THREADS bounds
- * the fan-out), each invoking `<exe> sweep --dir <dir> --shard <k>`
- * (plus --resume when @p resume). @return false when any shard exits
- * nonzero or dies to a signal; @p err then names the failed shards.
+ * The scheduler: plan the pending points of every shard, simulate the
+ * shared runs once (one runStages stage on @p threads), then fork one
+ * worker per shard, at most min(resolveThreads(@p threads), shards)
+ * at once. A worker runs
+ * runSweepShard() (with @p resume) against its inherited copy of the
+ * shared memo and exits with its status. @return false when any shard
+ * exits nonzero or dies to a signal; @p err then names the failed
+ * shards.
  */
 bool runShardedSweep(const std::string &dir, const SweepManifest &m,
-                     const std::string &exe, unsigned threads,
-                     bool resume, std::string *err = nullptr);
-
-/** Path of the running executable (/proc/self/exe). */
-std::string selfExePath();
+                     unsigned threads, bool resume,
+                     std::string *err = nullptr);
 
 } // namespace pifetch

@@ -309,7 +309,6 @@ TEST(RunKey, DroppedFieldsChangeNeitherTheRunNorTheKey)
              c.tifs.indexAssoc = 2;
              c.tifs.numSabs = 2;
              c.tifs.sabWindowBlocks = 5;
-             c.tifs.unbounded = true;
          }},
         {"pif", Section::Pif,
          [](SystemConfig &c) {

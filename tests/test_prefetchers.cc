@@ -161,8 +161,7 @@ TEST(Tifs, BoundedHistoryForgets)
 TEST(Tifs, UnboundedRemembersEverything)
 {
     TifsConfig cfg;
-    cfg.unbounded = true;
-    TifsPrefetcher p(cfg);
+    TifsPrefetcher p(cfg, true);
     p.onFetchAccess(fetchOf(999, false));
     for (Addr b = 0; b < 5000; ++b)
         p.onFetchAccess(fetchOf(b, false));

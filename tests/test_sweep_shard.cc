@@ -2,8 +2,9 @@
  * @file
  * Sharded-sweep tests: partition determinism, manifest round-trips,
  * the crash/resume contract (a SIGKILLed shard resumes to a merged
- * tree byte-identical to an in-process sweep), and journal-corruption
- * handling.
+ * tree byte-identical to an in-process sweep), journal-corruption
+ * handling, the scheduler (runShardedSweep forks its workers inside
+ * this binary), and the run counts of the sweep plan.
  */
 
 #include <gtest/gtest.h>
@@ -223,12 +224,26 @@ class SweepShardTest : public ::testing::Test
 
 TEST_F(SweepShardTest, InProcessSweepMatchesMergedShardsAtAnyThreadCount)
 {
+    // Standalone workers, each simulating all of its own runs.
     std::string err;
     ASSERT_TRUE(initSweepDir(dir_, m_, &err)) << err;
     ASSERT_TRUE(runSweepShard(dir_, m_, 0, false, &err)) << err;
     ASSERT_TRUE(runSweepShard(dir_, m_, 1, false, &err)) << err;
     const auto merged = mergeShardedSweep(dir_, m_, &err);
     ASSERT_TRUE(merged.has_value()) << err;
+    const std::string expected = toJson(*merged, 2);
+
+    // The scheduler: shared runs simulated on 1 or 4 lanes, then
+    // forked workers that start from them.
+    for (const unsigned threads : {1u, 4u}) {
+        std::filesystem::remove_all(dir_);
+        ASSERT_TRUE(initSweepDir(dir_, m_, &err)) << err;
+        ASSERT_TRUE(runShardedSweep(dir_, m_, threads, false, &err))
+            << err;
+        const auto scheduled = mergeShardedSweep(dir_, m_, &err);
+        ASSERT_TRUE(scheduled.has_value()) << err;
+        EXPECT_EQ(toJson(*scheduled, 2), expected) << threads << " threads";
+    }
 
     const ExperimentSpec *spec = findExperiment(m_.experiment);
     ASSERT_NE(spec, nullptr);
@@ -237,49 +252,123 @@ TEST_F(SweepShardTest, InProcessSweepMatchesMergedShardsAtAnyThreadCount)
     // 1 lane; 3 lanes (lane 0 runs points 0 and 3); one lane a point.
     for (const unsigned threads : {1u, 3u, 4u}) {
         EXPECT_EQ(toJson(runSweepInProcess(*spec, *base, m_, threads), 2),
-                  toJson(*merged, 2))
+                  expected)
             << threads << " threads";
     }
 }
 
-/** Engine runs a shard-by-shard pass over @p m simulates. */
-std::uint64_t
-shardRuns(const SweepManifest &m)
+TEST_F(SweepShardTest, SchedulerReportsAKilledShardAndResumes)
 {
-    const ExperimentSpec *spec = findExperiment(m.experiment);
     std::string err;
-    const auto base = sweepBaseOptions(*spec, m, &err);
-    EXPECT_TRUE(base.has_value()) << err;
-    std::uint64_t executed = 0;
-    for (unsigned k = 0; k < m.shards; ++k) {
-        RunMemo memo;
-        for (const std::uint64_t p : sweepShardPoints(m, k))
-            runSweepPoint(*spec, *base, m, p, memo);
-        EXPECT_EQ(memo.executed + memo.reused,
-                  4 * sweepShardPoints(m, k).size());
-        executed += memo.executed;
-    }
-    return executed;
+    ASSERT_TRUE(initSweepDir(dir_, m_, &err)) << err;
+    const std::string expected = inProcessSweepJson();
+
+    ::setenv("PIFETCH_SWEEP_KILL_AFTER", "1:1", 1);
+    const bool ok = runShardedSweep(dir_, m_, 2, false, &err);
+    ::unsetenv("PIFETCH_SWEEP_KILL_AFTER");
+    ASSERT_FALSE(ok);
+    EXPECT_NE(err.find("shard 1 did not complete"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("--resume"), std::string::npos) << err;
+    EXPECT_EQ(journaledCompletePoints(dir_, m_, 1),
+              (std::vector<std::uint64_t>{1}));
+
+    err.clear();
+    ASSERT_TRUE(runShardedSweep(dir_, m_, 2, true, &err)) << err;
+    const auto merged = mergeShardedSweep(dir_, m_, &err);
+    ASSERT_TRUE(merged.has_value()) << err;
+    EXPECT_EQ(toJson(*merged, 2), expected);
 }
 
-TEST(SweepRunCounts, ShardsSimulateTheBaselinesOnce)
+/** The benchmark's SAB grid over fig10-coverage on db2, tiny budget. */
+SweepManifest
+sabManifest(unsigned shards)
 {
-    // fig10-coverage's None, Next-Line and TIFS runs ignore pif.*, so
-    // a shard simulates them once and PIF once per point.
     SweepManifest m;
     m.experiment = "fig10-coverage";
     m.workloads = {{"db2", false}};
     m.warmup = 400;
     m.measure = 1500;
-    m.axes = {{"pif.numSabs", {"1", "2"}}};
-    m.shards = 1;
-    EXPECT_EQ(shardRuns(m), 5u);
-
-    // The benchmark's SAB grid in 4 shards: 20 runs for 8 points.
     m.axes = {{"pif.numSabs", {"1", "2", "4", "8"}},
               {"pif.sabWindowRegions", {"3", "7"}}};
-    m.shards = 4;
-    EXPECT_EQ(shardRuns(m), 20u);
+    m.shards = shards;
+    return m;
+}
+
+/**
+ * Plan @p owners' points of @p m, run them as the scheduler does (the
+ * shared runs once, then each owner's points in order against a copy
+ * of that memo), check that each count the plan gives is what ran,
+ * and return the plan.
+ */
+SweepPlan
+planAndRun(const SweepManifest &m,
+           const std::vector<std::vector<std::uint64_t>> &owners)
+{
+    const ExperimentSpec *spec = findExperiment(m.experiment);
+    std::string err;
+    const auto base = sweepBaseOptions(*spec, m, &err);
+    EXPECT_TRUE(base.has_value()) << err;
+    const SweepPlan plan = planSweep(*spec, *base, m, owners);
+    RunMemo shared;
+    runStages({plan.shared}, 2, shared);
+    EXPECT_EQ(shared.executed, plan.shared.size());
+    EXPECT_EQ(plan.ownerRuns.size(), owners.size());
+    for (std::size_t o = 0; o < owners.size(); ++o) {
+        RunMemo memo = shared;
+        for (const std::uint64_t p : owners[o])
+            runSweepPoint(*spec, *base, m, p, memo);
+        EXPECT_EQ(memo.executed - shared.executed, plan.ownerRuns[o])
+            << "owner " << o;
+        EXPECT_EQ(memo.executed + memo.reused - shared.executed,
+                  4 * owners[o].size())
+            << "owner " << o;
+    }
+    return plan;
+}
+
+TEST(SweepRunCounts, ShardsSimulateTheBaselinesOnce)
+{
+    // fig10-coverage's None, Next-Line and TIFS runs ignore pif.*, so
+    // one shard simulates them once and PIF once per point.
+    SweepManifest m = sabManifest(1);
+    m.axes = {{"pif.numSabs", {"1", "2"}}};
+    SweepPlan plan = planAndRun(m, pendingShardPoints("", m, false));
+    EXPECT_TRUE(plan.shared.empty());
+    EXPECT_EQ(plan.ownerRuns, (std::vector<std::uint64_t>{5}));
+
+    // The benchmark's SAB grid in 4 shards: every shard needs the
+    // baselines, so the scheduler simulates them once and each shard
+    // only its two PIF points, 11 runs for 8 points.
+    m = sabManifest(4);
+    plan = planAndRun(m, pendingShardPoints("", m, false));
+    EXPECT_EQ(plan.shared.size(), 3u);
+    EXPECT_EQ(plan.ownerRuns, (std::vector<std::uint64_t>{2, 2, 2, 2}));
+}
+
+TEST_F(SweepShardTest, ResumePlansOnlyThePendingShards)
+{
+    m_ = sabManifest(4);
+    std::string err;
+    ASSERT_TRUE(initSweepDir(dir_, m_, &err)) << err;
+    ASSERT_TRUE(runShardedSweep(dir_, m_, 4, false, &err)) << err;
+    const auto merged = mergeShardedSweep(dir_, m_, &err);
+    ASSERT_TRUE(merged.has_value()) << err;
+
+    // Only shard 3 left to run: no other shard shares its baselines,
+    // so the scheduler simulates nothing and shard 3 all five runs.
+    ASSERT_EQ(std::remove(sweepJournalPath(dir_, 3).c_str()), 0);
+    const auto pending = pendingShardPoints(dir_, m_, true);
+    EXPECT_EQ(pending, (std::vector<std::vector<std::uint64_t>>{
+                           {}, {}, {}, {3, 7}}));
+    const SweepPlan plan = planAndRun(m_, pending);
+    EXPECT_TRUE(plan.shared.empty());
+    EXPECT_EQ(plan.ownerRuns, (std::vector<std::uint64_t>{0, 0, 0, 5}));
+
+    ASSERT_TRUE(runShardedSweep(dir_, m_, 4, true, &err)) << err;
+    const auto resumed = mergeShardedSweep(dir_, m_, &err);
+    ASSERT_TRUE(resumed.has_value()) << err;
+    EXPECT_EQ(toJson(*resumed, 2), toJson(*merged, 2));
 }
 
 TEST_F(SweepShardTest, KilledShardResumesToByteIdenticalMergedTree)
