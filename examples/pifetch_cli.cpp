@@ -34,7 +34,6 @@
 #include "sim/trace_engine.hh"
 #include "sweep/runner.hh"
 #include "trace/trace_io.hh"
-#include "trace/trace_v2.hh"
 
 using namespace pifetch;
 
@@ -672,47 +671,28 @@ cmdSweep(Cli &cli)
 std::optional<ResultValue>
 traceInfoDoc(const std::string &path, std::string *err)
 {
-    const auto format = probeTraceFile(path, err);
-    if (!format)
+    // The header count (validated against the file size at open) is
+    // all info needs: no record is decoded.
+    TraceBatchReader reader;
+    if (!reader.open(path)) {
+        *err = reader.error();
         return std::nullopt;
-    std::optional<TraceV2Info> v2;
-    std::uint64_t records = 0;
-    std::uint64_t bytes = 0;
-    if (*format == TraceFileFormat::V1) {
-        // The header count (validated against the file size at open)
-        // is all info needs: no record is decoded.
-        TraceBatchReader reader;
-        struct stat st;
-        if (!reader.open(path) || ::stat(path.c_str(), &st) != 0) {
-            if (err)
-                *err = path + ": invalid v1 trace";
-            return std::nullopt;
-        }
-        records = reader.count();
-        bytes = static_cast<std::uint64_t>(st.st_size);
-    } else {
-        v2 = traceV2Info(path, err);
-        if (!v2)
-            return std::nullopt;
-        records = v2->count;
-        bytes = v2->fileBytes;
     }
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0) {
+        *err = path + ": cannot stat";
+        return std::nullopt;
+    }
+    const std::uint64_t records = reader.count();
+    const auto bytes = static_cast<std::uint64_t>(st.st_size);
     ResultValue doc = ResultValue::object();
     doc.set("path", path);
-    doc.set("format", v2 ? "pifetch-trace-v2" : "pifetch-trace-v1");
+    doc.set("format", "pifetch-trace-v1");
     doc.set("records", records);
     doc.set("fileBytes", bytes);
-    if (v2) {
-        doc.set("chunks", v2->chunks.size());
-        doc.set("indexOffset", v2->indexOffset);
-    }
-    if (records > 0) {
-        const auto size = static_cast<double>(bytes);
-        doc.set("bytesPerRecord", size / static_cast<double>(records));
-        if (v2)
-            doc.set("v1Ratio",
-                    (16.0 + 24.0 * static_cast<double>(records)) / size);
-    }
+    if (records > 0)
+        doc.set("bytesPerRecord", static_cast<double>(bytes) /
+                                      static_cast<double>(records));
     return doc;
 }
 
@@ -721,7 +701,7 @@ cmdTraceInfo(Cli &cli)
 {
     std::string file;
     Output out;
-    if (!cli.parse(concat({{path("<file>", "", "v1 or v2 trace file",
+    if (!cli.parse(concat({{path("<file>", "", "v1 trace file",
                                  file, Kind::Arg)},
                            out.rows(false, false)})))
         return cli.status;
@@ -739,65 +719,6 @@ cmdTraceInfo(Cli &cli)
         }
     }
     return out.write(*doc) ? 0 : 1;
-}
-
-/**
- * Copy trace @p in (v1 or v2) into a fresh @p out through Writer,
- * streaming one RecordBatch chunk at a time so repacking a
- * multi-gigabyte corpus holds one chunk.
- */
-template <class Writer>
-int
-convertTrace(const Cli &cli, const std::string &in, const std::string &out,
-             const char *done)
-{
-    std::string err;
-    const auto format = probeTraceFile(in, &err);
-    if (!format)
-        return cli.error(err, 1);
-    Writer writer;
-    if (!writer.open(out))
-        return cli.error(writer.error(), 1);
-    RecordBatch batch;
-    if (*format == TraceFileFormat::V1) {
-        TraceBatchReader reader;
-        if (!reader.open(in))
-            return cli.error(in + ": invalid v1 trace", 1);
-        while (reader.next(batch, traceV2ChunkRecords))
-            writer.addBatch(batch);
-        if (reader.failed())
-            return cli.error(in + ": read error mid-stream", 1);
-    } else {
-        TraceV2Reader reader;
-        if (!reader.open(in))
-            return cli.error(reader.error(), 1);
-        while (reader.next(batch))
-            writer.addBatch(batch);
-        if (reader.failed())
-            return cli.error(reader.error(), 1);
-    }
-    if (!writer.finish())
-        return cli.error(writer.error(), 1);
-    std::printf("%s %llu records to %s\n", done,
-                static_cast<unsigned long long>(writer.count()),
-                out.c_str());
-    return 0;
-}
-
-/** `trace pack` (to v2) and `trace unpack` (to v1). */
-int
-cmdTraceConvert(Cli &cli)
-{
-    std::string in;
-    std::string out;
-    if (!cli.parse({path("<in>", "", "v1 or v2 trace file", in, Kind::Arg),
-                    path("<out>", "", "file to write", out, Kind::Arg)}))
-        return cli.status;
-    if (out.empty())
-        return cli.error("expected <in> <out>");
-    if (cli.verb == "trace pack")
-        return convertTrace<TraceV2Writer>(cli, in, out, "packed");
-    return convertTrace<TraceWriter>(cli, in, out, "unpacked");
 }
 
 int
@@ -1333,12 +1254,7 @@ verbs()
         {"sweep",
          "run the cartesian grid of every --param over one experiment",
          cmdSweep},
-        {"trace pack", "convert a v1 (or v2) trace to compressed v2",
-         cmdTraceConvert},
-        {"trace unpack", "convert a trace back to fixed-record v1",
-         cmdTraceConvert},
-        {"trace info", "header and chunk-index summary of a trace",
-         cmdTraceInfo},
+        {"trace info", "header summary of a v1 trace file", cmdTraceInfo},
         {"golden", "emit canonical golden-fixture JSON (scripts/regold.sh)",
          cmdGolden},
         {"perf", "time the hot kernels (docs/performance.md)", cmdPerf},

@@ -25,7 +25,6 @@
 #include "sim/trace_engine.hh"
 #include "sim/workloads.hh"
 #include "trace/trace_io.hh"
-#include "trace/trace_v2.hh"
 
 namespace pifetch {
 
@@ -80,44 +79,6 @@ runTraceDecodeSoa(const PerfOptions &opts)
                 seen += batch.size;
             if (seen != n || reader.failed())
                 fatalError("perf: SoA trace decode failed mid-benchmark");
-        });
-    std::remove(path.c_str());
-    return t;
-}
-
-// --------------------------------------------------- trace-decode-v2
-
-KernelTiming
-runTraceDecodeV2(const PerfOptions &opts)
-{
-    const std::uint64_t n = scaled(512 * 1024, opts.scale);
-    const std::vector<RetiredInstr> records = generateStream(opts, n);
-
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         ("pifetch-perf-" + std::to_string(::getpid()) + "-v2.trace"))
-            .string();
-    std::string err;
-    if (!writeTraceV2(path, records, &err))
-        fatalError("perf: cannot write scratch v2 trace: " + err);
-    const std::uint64_t bytes = std::filesystem::file_size(path);
-
-    // Ops are records and bytes are the *compressed* on-disk size, so
-    // the ops/sec column compares decode throughput against
-    // trace-decode-soa directly while bytes/sec shows the I/O saved.
-    RecordBatch batch;
-    KernelTiming t = measureKernel(
-        "trace-decode-v2", opts.protocol, n, bytes, [&] {
-            TraceV2Reader reader;
-            if (!reader.open(path))
-                fatalError("perf: cannot reopen scratch v2 trace " +
-                           path);
-            std::uint64_t seen = 0;
-            while (reader.next(batch))
-                seen += batch.size;
-            if (seen != n || reader.failed())
-                fatalError("perf: v2 trace decode failed "
-                           "mid-benchmark");
         });
     std::remove(path.c_str());
     return t;
@@ -291,9 +252,6 @@ perfKernels()
         {"trace-decode-soa",
          "streamed trace decode into SoA record batches",
          runTraceDecodeSoa},
-        {"trace-decode-v2",
-         "compressed v2 chunk decode into SoA record batches",
-         runTraceDecodeV2},
         {"trace-replay",
          "functional engine + PIF steady-state replay (instrs/sec)",
          runTraceReplay},

@@ -7,8 +7,6 @@
  *
  *   trace-decode-soa    streamed v1 decode into SoA record batches
  *                       (trace/trace_io's TraceBatchReader)
- *   trace-decode-v2     compressed v2 chunk decode into SoA batches
- *                       (trace/trace_v2; bytes = on-disk compressed)
  *   trace-replay        full functional engine with PIF attached
  *                       (executor -> front-end -> L1-I -> prefetcher)
  *   replay-batched      the engine's batched pipeline on pre-decoded

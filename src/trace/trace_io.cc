@@ -2,11 +2,10 @@
  * @file
  * Trace file I/O implementation.
  *
- * TraceWriter is the one v1 encoder and TraceBatchReader the one
- * decoder; writeTrace()/readTrace() are thin loops over them. Both
- * directions stream through a fixed-size chunk buffer: one
- * fwrite/fread per chunk instead of one syscall-sized call per
- * 24-byte record.
+ * writeTrace() is the one v1 encoder and TraceBatchReader the one
+ * decoder (readTrace() is a loop over it). Both directions go through
+ * a fixed-size chunk buffer: one fwrite/fread per chunk instead of
+ * one syscall-sized call per 24-byte record.
  */
 
 #include "trace/trace_io.hh"
@@ -14,7 +13,9 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <system_error>
 
 namespace pifetch {
 
@@ -65,12 +66,29 @@ payloadBytes(std::FILE *f)
 bool
 writeTrace(const std::string &path, const std::vector<RetiredInstr> &records)
 {
-    TraceWriter writer;
-    if (!writer.open(path))
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    if (!f)
         return false;
-    for (const RetiredInstr &r : records)
-        writer.add(r);
-    return writer.finish();
+    const Header h{traceMagic, traceVersion, records.size()};
+    bool ok = std::fwrite(&h, sizeof(h), 1, f) == 1;
+    std::vector<DiskRecord> chunk;
+    for (std::size_t at = 0; ok && at < records.size();
+         at += chunkRecords) {
+        const std::size_t n =
+            std::min(chunkRecords, records.size() - at);
+        chunk.assign(n, DiskRecord{});
+        for (std::size_t i = 0; i < n; ++i) {
+            const RetiredInstr &r = records[at + i];
+            chunk[i].pc = r.pc;
+            chunk[i].target = r.target;
+            chunk[i].kind = static_cast<std::uint8_t>(r.kind);
+            chunk[i].trapLevel = r.trapLevel;
+            chunk[i].taken = r.taken ? 1 : 0;
+        }
+        ok = std::fwrite(chunk.data(), sizeof(DiskRecord), n, f) == n;
+    }
+    ok = ok && std::fflush(f) == 0;
+    return std::fclose(f) == 0 && ok;
 }
 
 bool
@@ -96,132 +114,22 @@ readTrace(const std::string &path, std::vector<RetiredInstr> &records)
     return true;
 }
 
-TraceWriter::~TraceWriter()
-{
-    if (file_) {
-        std::fclose(static_cast<std::FILE *>(file_));
-        file_ = nullptr;
-    }
-}
-
 void
-TraceWriter::fail(const std::string &msg)
+TraceBatchReader::fail(const std::string &msg)
 {
     if (!failed_) {
         failed_ = true;
-        error_ = msg;
+        error_ = path_ + ": " + msg;
     }
-    if (file_) {
-        std::fclose(static_cast<std::FILE *>(file_));
-        file_ = nullptr;
-    }
-}
-
-bool
-TraceWriter::open(const std::string &path)
-{
-    if (file_ || finished_) {
-        fail("trace writer: open() called twice");
-        return false;
-    }
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-        fail("cannot create " + path);
-        return false;
-    }
-    file_ = f;
-    pending_.reserve(chunkRecords);
-
-    // Placeholder count; finish() seeks back and writes the real one.
-    Header h{traceMagic, traceVersion, 0};
-    if (std::fwrite(&h, sizeof(h), 1, f) != 1) {
-        fail("cannot write trace header to " + path);
-        return false;
-    }
-    return true;
-}
-
-void
-TraceWriter::add(const RetiredInstr &r)
-{
-    if (failed_ || finished_)
-        return;
-    pending_.push_back(r);
-    ++count_;
-    if (pending_.size() >= chunkRecords)
-        flushChunk();
-}
-
-bool
-TraceWriter::addBatch(const RecordBatch &batch)
-{
-    for (std::uint32_t i = 0; i < batch.size && !failed_; ++i)
-        add(batch.get(i));
-    return !failed_;
-}
-
-void
-TraceWriter::flushChunk()
-{
-    if (pending_.empty() || failed_)
-        return;
-    std::vector<DiskRecord> chunk(pending_.size());
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-        const RetiredInstr &r = pending_[i];
-        DiskRecord d{};
-        d.pc = r.pc;
-        d.target = r.target;
-        d.kind = static_cast<std::uint8_t>(r.kind);
-        d.trapLevel = r.trapLevel;
-        d.taken = r.taken ? 1 : 0;
-        chunk[i] = d;
-    }
-    if (std::fwrite(chunk.data(), sizeof(DiskRecord), chunk.size(),
-                    static_cast<std::FILE *>(file_)) != chunk.size()) {
-        fail("cannot write trace chunk");
-        return;
-    }
-    pending_.clear();
-}
-
-bool
-TraceWriter::finish()
-{
-    if (failed_)
-        return false;
-    if (finished_ || file_ == nullptr) {
-        fail("trace writer: finish() without an open file");
-        return false;
-    }
-    flushChunk();
-    if (failed_)
-        return false;
-    std::FILE *f = static_cast<std::FILE *>(file_);
-
-    Header h{traceMagic, traceVersion, count_};
-    if (std::fseek(f, 0, SEEK_SET) != 0 ||
-        std::fwrite(&h, sizeof(h), 1, f) != 1) {
-        fail("cannot finalize trace header");
-        return false;
-    }
-    if (std::fflush(f) != 0) {
-        fail("flush failed finalizing trace");
-        return false;
-    }
-    file_ = nullptr;
-    finished_ = true;
-    if (std::fclose(f) != 0) {
-        failed_ = true;
-        error_ = "close failed finalizing trace";
-        return false;
-    }
-    return true;
+    close();
 }
 
 bool
 TraceBatchReader::open(const std::string &path)
 {
     close();
+    path_ = path;
+    error_.clear();
     failed_ = false;
     countChecked_ = false;
     total_ = 0;
@@ -232,16 +140,30 @@ TraceBatchReader::open(const std::string &path)
 
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f) {
-        failed_ = true;
+        fail("cannot open (" + std::generic_category().message(errno) +
+             ")");
         return false;
     }
     file_ = f;
 
+    // Classify the header from the bytes that are there, so a short
+    // foreign file reads as "bad magic" and a short v1 stub as
+    // "truncated header".
     Header h{};
-    if (std::fread(&h, sizeof(h), 1, f) != 1 || h.magic != traceMagic ||
+    const std::size_t got = std::fread(&h, 1, sizeof(h), f);
+    if (got >= sizeof(h.magic) && h.magic != traceMagic) {
+        fail("not a pifetch trace (bad magic)");
+        return false;
+    }
+    if (got >= sizeof(h.magic) + sizeof(h.version) &&
         h.version != traceVersion) {
-        failed_ = true;
-        close();
+        fail("unsupported trace version " + std::to_string(h.version) +
+             " (this build reads v1)");
+        return false;
+    }
+    if (got < sizeof(h)) {
+        fail("truncated header (" + std::to_string(got) + " of " +
+             std::to_string(sizeof(h)) + " bytes)");
         return false;
     }
 
@@ -252,12 +174,15 @@ TraceBatchReader::open(const std::string &path)
     // short read surfaces as failed() instead.
     const long long payload = payloadBytes(f);
     countChecked_ = payload >= 0;
-    if (countChecked_ &&
-        h.count > static_cast<unsigned long long>(payload) /
-                      sizeof(DiskRecord)) {
-        failed_ = true;
-        close();
-        return false;
+    if (countChecked_) {
+        const auto held = static_cast<unsigned long long>(payload) /
+                          sizeof(DiskRecord);
+        if (h.count > held) {
+            fail("header promises " + std::to_string(h.count) +
+                 " records but the payload holds " +
+                 std::to_string(held) + " (truncated or corrupt file)");
+            return false;
+        }
     }
 
     total_ = h.count;
@@ -284,7 +209,8 @@ TraceBatchReader::refill()
         std::min<std::uint64_t>(chunkRecords, remaining_));
     if (std::fread(chunk_.data(), sizeof(DiskRecord), n,
                    static_cast<std::FILE *>(file_)) != n) {
-        failed_ = true;
+        fail("stream ends after " + std::to_string(decoded_) + " of " +
+             std::to_string(total_) + " records");
         return;
     }
     chunkPos_ = 0;

@@ -25,10 +25,11 @@ constexpr std::uint32_t traceMagic = 0x54464950;
 constexpr std::uint32_t traceVersion = 1;
 
 /**
- * Write @p records to @p path: a loop over TraceWriter, so it shares
- * the writer's chunking and flush-and-close error discipline (a write
- * error that only surfaces at flush/close time, e.g. ENOSPC, is
- * reported as failure, never as silent data loss).
+ * Write @p records to @p path as one v1 file: the header with the
+ * final count, then the records one disk chunk (~32K records) per
+ * fwrite. The file is flushed and closed explicitly, so a write error
+ * that only surfaces at flush/close time (e.g. ENOSPC) is reported as
+ * failure, never as silent data loss.
  *
  * @return true on success; false on any I/O failure.
  */
@@ -48,54 +49,6 @@ bool writeTrace(const std::string &path,
  */
 bool readTrace(const std::string &path,
                std::vector<RetiredInstr> &records);
-
-/**
- * Streaming v1 writer, the only v1 encoder. Buffers one disk chunk of
- * records (one fwrite per ~32K records), writes the header with a
- * placeholder count, and finish() seeks back to finalize it — so a
- * multi-gigabyte conversion (`pifetch trace unpack`) never holds more
- * than one chunk in memory. finish() flushes and closes explicitly,
- * so a late write error is reported, not lost.
- */
-class TraceWriter
-{
-  public:
-    TraceWriter() = default;
-    ~TraceWriter();
-
-    TraceWriter(const TraceWriter &) = delete;
-    TraceWriter &operator=(const TraceWriter &) = delete;
-
-    /** Open @p path for writing. @return false on failure (error()). */
-    bool open(const std::string &path);
-
-    /** Append one record (buffered at disk-chunk granularity). */
-    void add(const RetiredInstr &r);
-
-    /** Append a decoded batch. @return false once failed() is set. */
-    bool addBatch(const RecordBatch &batch);
-
-    /** Flush the final chunk, rewrite the header with the real count,
-     *  flush and close. @return false on any I/O failure. */
-    bool finish();
-
-    /** Records appended so far. */
-    std::uint64_t count() const { return count_; }
-
-    bool failed() const { return failed_; }
-    const std::string &error() const { return error_; }
-
-  private:
-    void flushChunk();
-    void fail(const std::string &msg);
-
-    void *file_ = nullptr;  //!< std::FILE, opaque to the header
-    std::uint64_t count_ = 0;
-    std::vector<RetiredInstr> pending_;  //!< records of the open chunk
-    bool failed_ = false;
-    bool finished_ = false;
-    std::string error_;
-};
 
 /**
  * Streaming batch decoder for trace files, the only v1 decoder.
@@ -119,7 +72,8 @@ class TraceBatchReader
     /**
      * Open @p path and validate its header (magic, version, and the
      * record count against the file's actual payload size).
-     * @return true if the stream is ready.
+     * @return true if the stream is ready; otherwise error() names
+     *         the fault.
      */
     bool open(const std::string &path);
 
@@ -143,6 +97,9 @@ class TraceBatchReader
     /** True once an I/O error or short read has been observed. */
     bool failed() const { return failed_; }
 
+    /** What failed: one distinct message per fault, naming the file. */
+    const std::string &error() const { return error_; }
+
     /** Release the underlying file (idempotent). */
     void close();
 
@@ -150,12 +107,17 @@ class TraceBatchReader
     /** Read the next disk chunk into chunk_. Sets failed_ on error. */
     void refill();
 
+    /** Record the first fault and release the file. */
+    void fail(const std::string &msg);
+
     void *file_ = nullptr;       //!< std::FILE, opaque to the header
+    std::string path_;
     std::uint64_t total_ = 0;    //!< records promised by the header
     std::uint64_t remaining_ = 0;  //!< records not yet read from disk
     std::uint64_t decoded_ = 0;
     bool failed_ = false;
     bool countChecked_ = false;
+    std::string error_;
 
     /** Raw bytes of the current disk chunk and the decode cursor. */
     std::vector<std::uint8_t> chunk_;

@@ -4,7 +4,8 @@
  * built binary: usage errors exit 2 with a message naming the option
  * or config key, hostile values are rejected before they reach the
  * simulator, `pifetch help` matches docs/cli.md, and a sweep pins
- * manifest.json bytes equal to a committed fixture.
+ * manifest.json bytes equal to a committed fixture, and `trace info`
+ * reports a v1 file's header or names exactly what is wrong with it.
  *
  * CMake passes the binary's path as PIFETCH_CLI; without the examples
  * the suite is disabled.
@@ -16,11 +17,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "common/results.hh"
+#include "trace/trace_io.hh"
 
 #ifdef PIFETCH_CLI
 
@@ -120,8 +125,8 @@ TEST(Cli, EveryVerbRejectsUnknownOptionsAndMissingValues)
         {{"sweep", "fig10-coverage", "--bogus"}, 2, "unknown option"},
         {{"sweep", "fig10-coverage", "--param"}, 2,
          "--param needs a value"},
-        {{"trace", "pack", "--bogus"}, 2, "unknown option"},
-        {{"trace", "unpack", "--bogus"}, 2, "unknown option"},
+        {{"trace", "pack", "--bogus"}, 2, "unknown command"},
+        {{"trace", "unpack", "--bogus"}, 2, "unknown command"},
         {{"trace", "info", "x.trace", "--bogus"}, 2, "unknown option"},
         {{"trace", "info", "x.trace", "--json"}, 2,
          "--json needs a value"},
@@ -249,6 +254,72 @@ TEST(Cli, SweepManifestBytesAreStable)
                   "pif.numSabs"},
                  {{"sweep", "--dir", dir, "--merge"}, 2, "pif.numSabs"}});
     std::filesystem::remove_all(dir);
+}
+
+/** Write @p bytes verbatim to @p path. */
+void
+spit(const std::string &path, const std::string &bytes)
+{
+    std::ofstream os(path, std::ios::binary);
+    os << bytes;
+}
+
+/** A trace header: magic, @p version, @p count (little-endian). */
+std::string
+traceHeader(std::uint32_t version, std::uint64_t count)
+{
+    std::string h(16, '\0');
+    const std::uint32_t magic = pifetch::traceMagic;
+    std::memcpy(&h[0], &magic, 4);
+    std::memcpy(&h[4], &version, 4);
+    std::memcpy(&h[8], &count, 8);
+    return h;
+}
+
+TEST(Cli, TraceInfoReportsAV1FileHeader)
+{
+    const std::string path = ::testing::TempDir() + "pifetch_cli_info_" +
+                             std::to_string(::getpid()) + ".trace";
+    std::vector<pifetch::RetiredInstr> records(1000);
+    for (std::size_t i = 0; i < records.size(); ++i)
+        records[i].pc = 0x1000 + 4 * i;
+    ASSERT_TRUE(pifetch::writeTrace(path, records));
+
+    const CliResult r = runCli({"trace", "info", path, "--json", "-"});
+    ASSERT_EQ(r.code, 0) << r.err;
+    std::string err;
+    const auto doc = pifetch::parseJson(r.out, &err);
+    ASSERT_TRUE(doc) << err << "\n" << r.out;
+    EXPECT_EQ(doc->find("format")->str(), "pifetch-trace-v1");
+    EXPECT_EQ(doc->find("records")->number(), 1000.0);
+    EXPECT_EQ(doc->find("fileBytes")->number(), 16.0 + 24.0 * 1000);
+    EXPECT_DOUBLE_EQ(doc->find("bytesPerRecord")->number(),
+                     (16.0 + 24.0 * 1000) / 1000);
+    std::filesystem::remove(path);
+}
+
+TEST(Cli, TraceInfoNamesEachHeaderFault)
+{
+    const std::string base = ::testing::TempDir() + "pifetch_cli_bad_" +
+                             std::to_string(::getpid());
+    const std::string v1 = traceHeader(1, 0);
+    spit(base + ".short", v1.substr(0, 10));
+    spit(base + ".magic", "this is not a pifetch trace file");
+    spit(base + ".v2", traceHeader(2, 3) + std::string(64, 'x'));
+    spit(base + ".count", traceHeader(1, 5) + std::string(24, '\0'));
+    expectCases({
+        {{"trace", "info", base + ".missing"}, 1, "cannot open"},
+        {{"trace", "info", base + ".short"}, 1,
+         "truncated header (10 of 16 bytes)"},
+        {{"trace", "info", base + ".magic"}, 1,
+         "not a pifetch trace (bad magic)"},
+        {{"trace", "info", base + ".v2"}, 1,
+         "unsupported trace version 2 (this build reads v1)"},
+        {{"trace", "info", base + ".count"}, 1,
+         "header promises 5 records but the payload holds 1"},
+    });
+    for (const char *ext : {".short", ".magic", ".v2", ".count"})
+        std::filesystem::remove(base + ext);
 }
 
 } // namespace

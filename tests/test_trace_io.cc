@@ -17,29 +17,36 @@
 namespace pifetch {
 namespace {
 
+/**
+ * One record of every InstrKind, taken and not, at trap levels 0 and
+ * 1, with and without a target (invalidAddr) — including the
+ * pathological Plain-with-target record an arbitrary file could hold.
+ */
 std::vector<RetiredInstr>
 sampleTrace()
 {
+    const InstrKind kinds[] = {
+        InstrKind::Plain,     InstrKind::CondBranch, InstrKind::Jump,
+        InstrKind::Call,      InstrKind::Return,     InstrKind::TrapEnter,
+        InstrKind::TrapReturn};
     std::vector<RetiredInstr> t;
-    RetiredInstr a;
-    a.pc = 0x1000;
-    a.kind = InstrKind::Plain;
-    t.push_back(a);
-
-    RetiredInstr b;
-    b.pc = 0x1004;
-    b.kind = InstrKind::CondBranch;
-    b.target = 0x2000;
-    b.taken = true;
-    t.push_back(b);
-
-    RetiredInstr c;
-    c.pc = 0x2000;
-    c.kind = InstrKind::Return;
-    c.target = 0x1008;
-    c.taken = true;
-    c.trapLevel = 1;
-    t.push_back(c);
+    Addr pc = 0x1000;
+    for (const InstrKind kind : kinds) {
+        for (const bool taken : {false, true}) {
+            for (const bool has_target : {false, true}) {
+                for (const TrapLevel trap : {0, 1}) {
+                    RetiredInstr r;
+                    r.pc = pc;
+                    r.kind = kind;
+                    r.target = has_target ? pc + 0x4444 : invalidAddr;
+                    r.taken = taken;
+                    r.trapLevel = trap;
+                    t.push_back(r);
+                    pc += 4;
+                }
+            }
+        }
+    }
     return t;
 }
 
@@ -59,18 +66,32 @@ class TraceIoTest : public ::testing::Test
 
 TEST_F(TraceIoTest, RoundTripPreservesAllFields)
 {
-    const auto original = sampleTrace();
-    ASSERT_TRUE(writeTrace(path_, original));
+    // The sample alone, then tiled to sizes that are not a multiple
+    // of the 32K-record disk chunk: one short of and one past a
+    // two-chunk boundary, so the partial tail chunk carries every
+    // record shape too.
+    const auto sample = sampleTrace();
+    for (const std::size_t count : {sample.size(), std::size_t{65535},
+                                    std::size_t{65537}}) {
+        std::vector<RetiredInstr> original;
+        original.reserve(count);
+        for (std::size_t i = 0; i < count; ++i) {
+            RetiredInstr r = sample[i % sample.size()];
+            r.pc += (i / sample.size()) * 0x10000;
+            original.push_back(r);
+        }
+        ASSERT_TRUE(writeTrace(path_, original));
 
-    std::vector<RetiredInstr> replay;
-    ASSERT_TRUE(readTrace(path_, replay));
-    ASSERT_EQ(replay.size(), original.size());
-    for (std::size_t i = 0; i < original.size(); ++i) {
-        EXPECT_EQ(replay[i].pc, original[i].pc);
-        EXPECT_EQ(replay[i].target, original[i].target);
-        EXPECT_EQ(replay[i].kind, original[i].kind);
-        EXPECT_EQ(replay[i].taken, original[i].taken);
-        EXPECT_EQ(replay[i].trapLevel, original[i].trapLevel);
+        std::vector<RetiredInstr> replay;
+        ASSERT_TRUE(readTrace(path_, replay));
+        ASSERT_EQ(replay.size(), original.size()) << "count " << count;
+        for (std::size_t i = 0; i < original.size(); ++i) {
+            ASSERT_EQ(replay[i].pc, original[i].pc) << i;
+            ASSERT_EQ(replay[i].target, original[i].target) << i;
+            ASSERT_EQ(replay[i].kind, original[i].kind) << i;
+            ASSERT_EQ(replay[i].taken, original[i].taken) << i;
+            ASSERT_EQ(replay[i].trapLevel, original[i].trapLevel) << i;
+        }
     }
 }
 
@@ -236,6 +257,12 @@ TEST_F(TraceIoTest, WriteToUnwritablePathFails)
 {
     EXPECT_FALSE(writeTrace("/nonexistent-dir/trace.bin",
                             sampleTrace()));
+    // The sample fits in stdio's buffer, so on /dev/full (ENOSPC on
+    // every write) the error surfaces only at flush/close.
+    if (std::FILE *full = std::fopen("/dev/full", "wb")) {
+        std::fclose(full);
+        EXPECT_FALSE(writeTrace("/dev/full", sampleTrace()));
+    }
 }
 
 TEST_F(TraceIoTest, FuzzedCorruptionNeverCrashesOrLeaksState)
